@@ -23,7 +23,9 @@ StateDistributionModel series_model(int n) {
   StateDistributionModel model;
   std::vector<lp::NodeIndex> nodes;
   for (int i = 0; i < n; ++i) {
-    nodes.push_back(model.add_node("s" + std::to_string(i), kTsf, kTsl));
+    std::string name = "s";
+    name += std::to_string(i);
+    nodes.push_back(model.add_node(std::move(name), kTsf, kTsl));
   }
   for (int i = 0; i + 1 < n; ++i) model.add_edge(nodes[i], nodes[i + 1]);
   model.mark_entry(nodes.front());

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lp/state_model.hpp"
@@ -65,7 +66,9 @@ int main(int argc, char** argv) {
     const int n = static_cast<int>(arg);
     std::vector<lp::NodeIndex> nodes;
     for (int i = 0; i < n; ++i) {
-      nodes.push_back(model.add_node("s" + std::to_string(i), t_sf, t_sl));
+      std::string name = "s";
+      name += std::to_string(i);
+      nodes.push_back(model.add_node(std::move(name), t_sf, t_sl));
     }
     for (int i = 0; i + 1 < n; ++i) model.add_edge(nodes[i], nodes[i + 1]);
     model.mark_entry(nodes.front());

@@ -22,7 +22,7 @@ const std::string& WireChecker::host_name(Address addr) const {
   return it != hosts_.end() ? it->second : kUnknown;
 }
 
-std::string WireChecker::request_key(Address host, const std::string& call_id,
+std::string WireChecker::request_key(Address host, std::string_view call_id,
                                      std::uint32_t seq, sip::Method method) {
   std::string key = std::to_string(host.value());
   key += '|';
@@ -39,7 +39,7 @@ void WireChecker::check_cseq(const sip::Message& msg) {
   // and so are exempt from the monotonicity rule.
   const sip::Method method = msg.cseq().method;
   if (method == sip::Method::kAck || method == sip::Method::kCancel) return;
-  std::string dialog = msg.call_id();
+  std::string dialog = msg.call_id().str();
   dialog += '|';
   dialog += msg.from().tag;
   CseqHistory& hist = cseq_[dialog];
@@ -63,26 +63,26 @@ void WireChecker::check_request_send(Address from, const sip::Message& msg) {
   if (msg.vias().empty()) {
     log_.add("wire.via_push", sim_.now(),
              sender + " sent " + std::string(sip::to_string(msg.method())) +
-                 " " + msg.call_id() + " with an empty Via stack");
+                 " " + msg.call_id().str() + " with an empty Via stack");
     return;
   }
   if (!(msg.top_via().sent_by == std::string_view(sender))) {
     log_.add("wire.via_push", sim_.now(),
              sender + " sent " + std::string(sip::to_string(msg.method())) +
-                 " " + msg.call_id() + " whose top Via names " +
+                 " " + msg.call_id().str() + " whose top Via names " +
                  msg.top_via().sent_by.str() +
                  " — the sender must push its own Via");
   }
   if (msg.vias().size() > kMaxViaDepth) {
     log_.add("wire.via_depth", sim_.now(),
-             sender + " sent " + msg.call_id() + " with " +
+             sender + " sent " + msg.call_id().str() + " with " +
                  std::to_string(msg.vias().size()) +
                  " Vias — likely a forwarding loop");
   }
   if (msg.max_forwards() < 0) {
     log_.add("wire.mf_negative", sim_.now(),
              sender + " sent " + std::string(sip::to_string(msg.method())) +
-                 " " + msg.call_id() + " with Max-Forwards " +
+                 " " + msg.call_id().str() + " with Max-Forwards " +
                  std::to_string(msg.max_forwards()));
   }
   // Conservation across a forwarding host. ACK and CANCEL are hop-by-hop
@@ -97,7 +97,7 @@ void WireChecker::check_request_send(Address from, const sip::Message& msg) {
       log_.add("wire.mf_balance", sim_.now(),
                sender + " forwarded " +
                    std::string(sip::to_string(msg.method())) + " " +
-                   msg.call_id() + " with Max-Forwards " +
+                   msg.call_id().str() + " with Max-Forwards " +
                    std::to_string(msg.max_forwards()) +
                    " but received it with " +
                    std::to_string(it->second.mf_in) +
@@ -113,7 +113,7 @@ void WireChecker::check_response_send(Address from, Address to,
   if (msg.vias().empty()) {
     log_.add("wire.via_pop", sim_.now(),
              sender + " sent response " + std::to_string(msg.status_code()) +
-                 " " + msg.call_id() + " with an empty Via stack");
+                 " " + msg.call_id().str() + " with an empty Via stack");
     return;
   }
   // 18.2.2: a response travels to the host named by its top Via; a hop that
@@ -121,7 +121,7 @@ void WireChecker::check_response_send(Address from, Address to,
   if (!(msg.top_via().sent_by == std::string_view(host_name(to)))) {
     log_.add("wire.via_pop", sim_.now(),
              sender + " sent response " + std::to_string(msg.status_code()) +
-                 " " + msg.call_id() + " to " + host_name(to) +
+                 " " + msg.call_id().str() + " to " + host_name(to) +
                  " but its top Via names " + msg.top_via().sent_by.str());
   }
   const auto it = open_.find(
@@ -130,7 +130,7 @@ void WireChecker::check_response_send(Address from, Address to,
   if (msg.status_code() == sip::status::kTooManyHops &&
       it->second.mf_in > 0) {
     log_.add("wire.premature_483", sim_.now(),
-             sender + " answered 483 Too Many Hops for " + msg.call_id() +
+             sender + " answered 483 Too Many Hops for " + msg.call_id().str() +
                  " which arrived with Max-Forwards " +
                  std::to_string(it->second.mf_in) +
                  " — 483 is only correct for Max-Forwards 0 (16.3 step 4)");
@@ -164,7 +164,7 @@ void WireChecker::on_deliver(Address /*from*/, Address to,
   entry.mf_in = msg->max_forwards();
   entry.context = host_name(to) + " received " +
                   std::string(sip::to_string(msg->method())) + " " +
-                  msg->call_id() + " cseq " +
+                  msg->call_id().str() + " cseq " +
                   std::to_string(msg->cseq().seq) + " (Max-Forwards " +
                   std::to_string(msg->max_forwards()) + ")";
   open_[request_key(to, msg->call_id(), msg->cseq().seq,

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -79,7 +80,7 @@ class WireChecker {
   /// Correlation key: responses match their request via the receiving
   /// host + Call-ID + CSeq (branch is not needed inside one run).
   [[nodiscard]] static std::string request_key(Address host,
-                                               const std::string& call_id,
+                                               std::string_view call_id,
                                                std::uint32_t seq,
                                                sip::Method method);
 

@@ -8,10 +8,10 @@ namespace svk::dialog {
 
 using common::fnv1a;
 
-DialogId DialogId::make(const std::string& call_id, std::string tag1,
+DialogId DialogId::make(sip::SharedText call_id, std::string tag1,
                         std::string tag2) {
   if (tag2 < tag1) std::swap(tag1, tag2);
-  return DialogId{call_id, std::move(tag1), std::move(tag2)};
+  return DialogId{std::move(call_id), std::move(tag1), std::move(tag2)};
 }
 
 std::uint64_t dialog_id_hash(std::string_view call_id, std::string_view tag_a,

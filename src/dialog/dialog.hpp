@@ -28,11 +28,11 @@ namespace svk::dialog {
 /// from either direction (caller's BYE vs callee's BYE), so the key
 /// normalizes tag order.
 struct DialogId {
-  std::string call_id;
+  sip::SharedText call_id;  // shares the message's Call-ID block
   std::string tag_a;  // lexicographically smaller tag
   std::string tag_b;
 
-  [[nodiscard]] static DialogId make(const std::string& call_id,
+  [[nodiscard]] static DialogId make(sip::SharedText call_id,
                                      std::string tag1, std::string tag2);
 
   friend bool operator==(const DialogId&, const DialogId&) = default;

@@ -3,6 +3,8 @@
 // sent-by values and contact hosts resolve through here.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -19,15 +21,23 @@ class HostRegistry {
     hosts_[std::move(host)] = address;
   }
 
-  /// Resolves a hostname; nullopt when unknown.
+  /// Resolves a hostname; nullopt when unknown. Looks the view up as is:
+  /// hosts outgrow std::string's inline buffer, so a key temporary would
+  /// cost a malloc per resolve on the response path.
   [[nodiscard]] std::optional<Address> resolve(std::string_view host) const {
-    const auto it = hosts_.find(std::string(host));
+    const auto it = hosts_.find(host);
     if (it == hosts_.end()) return std::nullopt;
     return it->second;
   }
 
  private:
-  std::unordered_map<std::string, Address> hosts_;
+  struct Hash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, Address, Hash, std::equal_to<>> hosts_;
 };
 
 }  // namespace svk::proxy

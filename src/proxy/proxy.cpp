@@ -37,6 +37,8 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
       routes_(std::move(routes)),
       policy_(std::move(policy)),
       config_(std::move(config)),
+      host_(config_.host),
+      own_uri_("", host_),
       cpu_(sim, sim::CpuQueueConfig{config_.cpu_capacity,
                                     config_.max_queue_delay}),
       txns_(sim, config_.timers),
@@ -204,7 +206,7 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
 
   // Route-set handling (RFC 3261 16.4): strip our own Route entry, then
   // prefer the remaining route set over request-URI routing.
-  if (!fwd.routes().empty() && fwd.routes().front().host() == config_.host) {
+  if (!fwd.routes().empty() && fwd.routes().front().host() == host_) {
     fwd.routes().erase(fwd.routes().begin());
   }
 
@@ -267,9 +269,9 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
         config_.stateful_mode == HandlingMode::kDialogStatefulAuth) {
       (void)dialogs_.match(*msg);  // dialog accounting for in-dialog ACK
     }
-    fwd.push_via(sip::Via{"SIP/2.0/UDP", config_.host,
+    fwd.push_via(sip::Via{sip::udp_protocol(), host_,
                           sip::stateless_branch(msg->top_via().branch,
-                                                config_.host)});
+                                                host_)});
     auto fwd_ptr = std::move(fwd).finish();
     // In-call messages are never shed at admission: dropping an ACK wastes
     // a whole established call (overload control sheds *new* work first).
@@ -359,21 +361,20 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
 
   if (stateful) {
     if (ctx.already_stateful) ++stats_.double_stateful;
-    fwd.push_via(sip::Via{"SIP/2.0/UDP", config_.host, branches_.next()});
+    fwd.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
     fwd.set_header(std::string(kStatefulMarkHeader), config_.host);
     if (dialog_mode) {
       if (msg->method() == sip::Method::kInvite) {
         dialogs_.create_early(fwd, sim_.now());
-        fwd.record_routes().insert(fwd.record_routes().begin(),
-                                   sip::Uri("", config_.host));
+        fwd.record_routes().insert(fwd.record_routes().begin(), own_uri_);
       } else {
         (void)dialogs_.match(*msg);
       }
     }
   } else {
-    fwd.push_via(sip::Via{"SIP/2.0/UDP", config_.host,
+    fwd.push_via(sip::Via{sip::udp_protocol(), host_,
                           sip::stateless_branch(msg->top_via().branch,
-                                                config_.host)});
+                                                host_)});
   }
 
   auto fwd_ptr = std::move(fwd).finish();
@@ -451,7 +452,7 @@ void ProxyServer::execute_stateful_forward(Address from, sip::MessagePtr msg,
   callbacks.on_response = [this, server_handle, dialog_mode](
                               const sip::MessagePtr& response) {
     sip::Message up = sip::clone(*response);
-    if (up.vias().empty() || up.top_via().sent_by != config_.host) {
+    if (up.vias().empty() || up.top_via().sent_by != host_) {
       return;  // malformed; drop
     }
     up.pop_via();
@@ -511,7 +512,7 @@ void ProxyServer::admit_response(Address from, const sip::MessagePtr& msg) {
   // the response up, so the param is read here — off our own top Via, keyed
   // by the path the sender terminates.
   if (overload_ != nullptr && !msg->vias().empty() &&
-      msg->top_via().sent_by == config_.host) {
+      msg->top_via().sent_by == host_) {
     if (const auto path = routes_.path_of(from)) {
       if (msg->top_via().oc_rate >= 0.0) {
         ++stats_.oc_advertisements;
@@ -557,7 +558,7 @@ void ProxyServer::admit_response(Address from, const sip::MessagePtr& msg) {
       if (dialogs_.abandon_early(*msg)) ++stats_.dialogs_abandoned;
     }
     sip::Message up = sip::clone(*msg);
-    if (up.vias().empty() || up.top_via().sent_by != config_.host) {
+    if (up.vias().empty() || up.top_via().sent_by != host_) {
       return;  // not ours; drop
     }
     up.pop_via();
@@ -730,9 +731,9 @@ void ProxyServer::handle_cancel(Address from, const sip::MessagePtr& msg) {
     } else {
       target = decision->next_hop;
     }
-    fwd.push_via(sip::Via{"SIP/2.0/UDP", config_.host,
+    fwd.push_via(sip::Via{sip::udp_protocol(), host_,
                           sip::stateless_branch(msg->top_via().branch,
-                                                config_.host)});
+                                                host_)});
     send_charged(target, std::move(fwd).finish());
   });
 }
@@ -802,12 +803,12 @@ void ProxyServer::handle_control(Address from, const sip::Message& msg) {
 sip::MessagePtr ProxyServer::make_overload_options(std::string_view header,
                                                    const std::string& value) {
   sip::Message options = sip::Message::request(
-      sip::Method::kOptions, sip::Uri("overload", config_.host),
-      sip::NameAddr{"", sip::Uri("control", config_.host), "svk"},
-      sip::NameAddr{"", sip::Uri("control", config_.host), ""},
+      sip::Method::kOptions, sip::Uri("overload", host_),
+      sip::NameAddr{"", sip::Uri("control", host_), "svk"},
+      sip::NameAddr{"", sip::Uri("control", host_), ""},
       config_.host + "-ovl-" + std::to_string(++overload_signal_seq_),
       sip::CSeq{1, sip::Method::kOptions});
-  options.push_via(sip::Via{"SIP/2.0/UDP", config_.host, branches_.next()});
+  options.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
   options.set_header(std::string(header), value);
   return std::move(options).finish();
 }

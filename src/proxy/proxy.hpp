@@ -256,6 +256,10 @@ class ProxyServer {
   RouteTable routes_;
   std::unique_ptr<StatePolicy> policy_;
   ProxyConfig config_;
+  /// This proxy's host, interned once, and the URI naming it (pushed as
+  /// Record-Route): the forward path copies these and never interns text.
+  sip::Token host_;
+  sip::Uri own_uri_;
 
   sim::CpuQueue cpu_;
   txn::TransactionManager txns_;

@@ -55,7 +55,7 @@ void RouteTable::add_local(std::string domain_suffix) {
 std::optional<RouteDecision> RouteTable::route(const sip::Uri& uri) {
   Entry* best = nullptr;
   for (Entry& entry : entries_) {
-    if (!suffix_matches(uri.host(), entry.suffix)) continue;
+    if (!suffix_matches(uri.host().str(), entry.suffix)) continue;
     if (!best || entry.suffix.size() > best->suffix.size()) best = &entry;
   }
   if (!best) return std::nullopt;

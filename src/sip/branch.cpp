@@ -8,21 +8,24 @@ namespace svk::sip {
 
 using common::fnv1a;
 
-std::string BranchGenerator::next() {
+SharedText BranchGenerator::next() {
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%s-%llx-%llx", std::string(kMagicCookie).c_str(),
-                static_cast<unsigned long long>(element_id_),
-                static_cast<unsigned long long>(++counter_));
-  return buf;
+  const int n = std::snprintf(
+      buf, sizeof(buf), "%.*s-%llx-%llx", static_cast<int>(kMagicCookie.size()),
+      kMagicCookie.data(), static_cast<unsigned long long>(element_id_),
+      static_cast<unsigned long long>(++counter_));
+  return SharedText(std::string_view(buf, static_cast<std::size_t>(n)));
 }
 
-std::string stateless_branch(std::string_view incoming_branch,
-                             std::string_view host) {
+SharedText stateless_branch(std::string_view incoming_branch,
+                            std::string_view host) {
   const std::uint64_t h = fnv1a(host, fnv1a(incoming_branch));
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "-sl%llx",
-                static_cast<unsigned long long>(h));
-  return std::string(kMagicCookie) + buf;
+  char buf[48];
+  const int n = std::snprintf(buf, sizeof(buf), "%.*s-sl%llx",
+                              static_cast<int>(kMagicCookie.size()),
+                              kMagicCookie.data(),
+                              static_cast<unsigned long long>(h));
+  return SharedText(std::string_view(buf, static_cast<std::size_t>(n)));
 }
 
 std::uint64_t txn_key_hash(std::string_view branch, std::string_view sent_by,
@@ -43,13 +46,13 @@ TransactionKey server_key(const Message& req) {
   const Via& via = req.top_via();
   Method method = req.method();
   if (method == Method::kAck) method = Method::kInvite;
-  return TransactionKey{via.branch, via.sent_by.str(), method};
+  return TransactionKey{via.branch.str(), via.sent_by.str(), method};
 }
 
 TransactionKey client_key(const Message& resp) {
   const Via& via = resp.top_via();
   Method method = resp.cseq().method;
-  return TransactionKey{via.branch, via.sent_by.str(), method};
+  return TransactionKey{via.branch.str(), via.sent_by.str(), method};
 }
 
 TxnProbe key_for_request(const Message& req) {

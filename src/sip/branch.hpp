@@ -22,7 +22,9 @@ class BranchGenerator {
   explicit BranchGenerator(std::uint64_t element_id)
       : element_id_(element_id) {}
 
-  [[nodiscard]] std::string next();
+  /// The next branch, built once as shared text: every copy of the
+  /// message carrying it (and every response echoing it) shares the block.
+  [[nodiscard]] SharedText next();
 
  private:
   std::uint64_t element_id_;
@@ -94,8 +96,8 @@ struct TxnProbe {
 /// Deterministic branch for *stateless* forwarding (RFC 3261 16.11): the
 /// branch must be computed from the incoming request so retransmissions get
 /// the same value and can be matched/absorbed by stateful nodes downstream.
-[[nodiscard]] std::string stateless_branch(std::string_view incoming_branch,
-                                           std::string_view host);
+[[nodiscard]] SharedText stateless_branch(std::string_view incoming_branch,
+                                          std::string_view host);
 
 /// Key a *client* transaction uses to match an incoming response: the
 /// response's top Via is the one this element inserted, so its branch plus

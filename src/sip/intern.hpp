@@ -13,9 +13,13 @@
 // life of the process — Tokens may be copied freely across threads and
 // outlive the thread that created them.
 //
-// Only bounded value sets belong here. Branch parameters and Call-IDs are
-// per-transaction unique and must stay plain std::string — interning them
-// would grow the table without bound.
+// Only bounded value sets belong here: Via protocol and sent-by, URI scheme
+// and host. Branch parameters, Call-IDs and bodies are per-transaction or
+// per-call unique — interning them would grow the table without bound — so
+// they are SharedText (shared_text.hpp) instead: built once, shared by
+// refcount. Elements on the hot path intern their own host once, at
+// construction, and copy the Token after that, so a forwarded message
+// costs no intern lookup at all.
 #pragma once
 
 #include <cstddef>
@@ -69,5 +73,17 @@ class Token {
  private:
   const std::string* str_;  // never null
 };
+
+/// "SIP/2.0/UDP", interned once: the Via protocol every element sends.
+inline const Token& udp_protocol() {
+  static const Token token("SIP/2.0/UDP");
+  return token;
+}
+
+/// "sip", interned once: the default URI scheme.
+inline const Token& sip_scheme() {
+  static const Token token("sip");
+  return token;
+}
 
 }  // namespace svk::sip

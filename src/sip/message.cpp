@@ -28,7 +28,7 @@ void append_name_addr(std::string& out, std::string_view name,
 }  // namespace
 
 Message Message::request(Method method, Uri request_uri, NameAddr from,
-                         NameAddr to, std::string call_id, CSeq cseq) {
+                         NameAddr to, SharedText call_id, CSeq cseq) {
   Message msg;
   msg.is_request_ = true;
   msg.method_ = method;

@@ -5,13 +5,22 @@
 // modify a message in flight (push a Via, decrement Max-Forwards) copies it
 // first — copy-on-forward, matching how a real proxy re-serializes.
 //
-// The layout is tuned for that copy: header lists live in small-inline
-// vectors (no malloc for the common 1–4 entry counts), Via protocol and
-// sent-by values are interned Tokens (pointer copies), and the Via stack is
-// stored bottom-first so push_via/pop_via — the per-hop operations — are
-// O(1) at the back instead of O(n) front inserts. finish() allocates the
-// shared block from a freelist-backed pool (see message_pool.hpp), so a
-// warm forward path creates and releases messages without the allocator.
+// The layout is tuned for that copy, which must cost pointer copies and
+// refcount bumps only. Header text comes in three tiers:
+//   - Token (intern.hpp): bounded vocabularies — Via protocol and sent-by,
+//     URI scheme and host. A copy is a pointer copy.
+//   - SharedText (shared_text.hpp): per-call or per-transaction unique text
+//     that never changes once built — Call-ID, Via branch, body. A copy is
+//     an atomic refcount increment.
+//   - std::string: short or rare text — tags, display names, URI users,
+//     reason phrases, extension headers — that fits the small-string
+//     buffer on the run path or is not on it.
+// Header lists live in small-inline vectors (no malloc for the common 1–4
+// entry counts), and the Via stack is stored bottom-first so
+// push_via/pop_via — the per-hop operations — are O(1) at the back instead
+// of O(n) front inserts. finish() allocates the shared block from a
+// freelist-backed pool (see message_pool.hpp), so a warm forward path
+// creates and releases messages without the allocator.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +34,7 @@
 #include "sip/intern.hpp"
 #include "sip/message_pool.hpp"
 #include "sip/methods.hpp"
+#include "sip/shared_text.hpp"
 #include "sip/uri.hpp"
 
 namespace svk::sip {
@@ -32,18 +42,20 @@ namespace svk::sip {
 /// One Via header entry (RFC 3261 8.1.1.7 / 18.2.1): the response return
 /// path. `sent_by` is the sender's host identity; `branch` the transaction
 /// id token. Protocol and sent-by come from bounded vocabularies and are
-/// interned; branch is per-transaction unique and stays a plain string.
+/// interned; branch is per-transaction unique shared text.
 struct Via {
   Via() = default;
+  /// Hot-path form: Tokens the caller interned once, a branch built once.
+  Via(Token protocol, Token sent_by, SharedText branch = {})
+      : protocol(protocol), sent_by(sent_by), branch(std::move(branch)) {}
+  /// Interns protocol and sent-by (a hash lookup each).
   Via(std::string_view protocol, std::string_view sent_by,
-      std::string branch = {})
-      : protocol(protocol),
-        sent_by(sent_by),
-        branch(std::move(branch)) {}
+      SharedText branch = {})
+      : protocol(protocol), sent_by(sent_by), branch(std::move(branch)) {}
 
-  Token protocol{"SIP/2.0/UDP"};
+  Token protocol = udp_protocol();
   Token sent_by;
-  std::string branch;
+  SharedText branch;
   /// RFC 7339-style overload-control feedback: the permitted request rate
   /// (cps) this hop advertises to its upstream neighbor, piggybacked on the
   /// Via it stamps onto responses. Negative = no advertisement.
@@ -85,7 +97,7 @@ class Message {
   /// Creates a request with the mandatory header skeleton.
   [[nodiscard]] static Message request(Method method, Uri request_uri,
                                        NameAddr from, NameAddr to,
-                                       std::string call_id, CSeq cseq);
+                                       SharedText call_id, CSeq cseq);
 
   /// Creates a response to `req` per RFC 3261 8.2.6: Vias, From, To,
   /// Call-ID and CSeq are copied from the request.
@@ -120,7 +132,7 @@ class Message {
   [[nodiscard]] const NameAddr& to() const { return to_; }
   [[nodiscard]] NameAddr& to() { return to_; }
 
-  [[nodiscard]] const std::string& call_id() const { return call_id_; }
+  [[nodiscard]] const SharedText& call_id() const { return call_id_; }
   [[nodiscard]] const CSeq& cseq() const { return cseq_; }
 
   [[nodiscard]] const std::optional<NameAddr>& contact() const {
@@ -150,8 +162,8 @@ class Message {
   [[nodiscard]] const HeaderList& extension_headers() const { return extra_; }
 
   // -- Body ----------------------------------------------------------------
-  [[nodiscard]] const std::string& body() const { return body_; }
-  void set_body(std::string body) { body_ = std::move(body); }
+  [[nodiscard]] const SharedText& body() const { return body_; }
+  void set_body(SharedText body) { body_ = std::move(body); }
 
   /// Serializes to RFC 3261 wire format (CRLF line endings).
   [[nodiscard]] std::string to_wire() const;
@@ -178,14 +190,14 @@ class Message {
   ViaList vias_;  // bottom-first; top Via is vias_.back()
   NameAddr from_;
   NameAddr to_;
-  std::string call_id_;
+  SharedText call_id_;
   CSeq cseq_;
   std::optional<NameAddr> contact_;
   int max_forwards_ = 70;
   RouteList routes_;
   RouteList record_routes_;
   HeaderList extra_;
-  std::string body_;
+  SharedText body_;
 
   friend class Parser;
 };

@@ -72,7 +72,7 @@ Result<Via> parse_via(std::string_view value) {
       }
       item = trim(item);
       if (item.starts_with("branch=")) {
-        via.branch = std::string(item.substr(7));
+        via.branch = SharedText(item.substr(7));
       } else if (item.starts_with("oc=")) {
         const std::string_view num = item.substr(3);
         double rate = 0.0;
@@ -273,7 +273,7 @@ Result<Message> Parser::parse(std::string_view wire) {
       msg.to_ = std::move(na).value();
       saw_to = true;
     } else if (name == "Call-ID" || name == "i") {
-      msg.call_id_ = std::string(value);
+      msg.call_id_ = SharedText(value);
       saw_call_id = true;
     } else if (name == "CSeq") {
       const auto space = value.find(' ');
@@ -331,7 +331,7 @@ Result<Message> Parser::parse(std::string_view wire) {
   if (content_length > rest.size()) {
     return make_error("parse: truncated body");
   }
-  msg.body_ = std::string(rest.substr(0, content_length));
+  msg.body_ = SharedText(rest.substr(0, content_length));
   return msg;
 }
 

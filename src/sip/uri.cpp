@@ -17,10 +17,13 @@ Result<Uri> Uri::parse(std::string_view text) {
   if (colon == std::string_view::npos) {
     return make_error("uri: missing scheme separator");
   }
-  uri.scheme_ = std::string(text.substr(0, colon));
-  if (uri.scheme_ != "sip" && uri.scheme_ != "sips") {
-    return make_error("uri: unsupported scheme '" + uri.scheme_ + "'");
+  const std::string_view scheme = text.substr(0, colon);
+  if (scheme != "sip" && scheme != "sips") {
+    return make_error(std::string("uri: unsupported scheme '")
+                          .append(scheme)
+                          .append("'"));
   }
+  uri.scheme_ = Token(scheme);
   std::string_view rest = text.substr(colon + 1);
   if (rest.empty()) return make_error("uri: empty body");
 
@@ -59,7 +62,7 @@ Result<Uri> Uri::parse(std::string_view text) {
     hostport = hostport.substr(0, pcolon);
     if (hostport.empty()) return make_error("uri: empty host before port");
   }
-  uri.host_ = std::string(hostport);
+  uri.host_ = Token(hostport);
 
   // ;name=value;flag params.
   while (!params.empty()) {
@@ -99,16 +102,23 @@ void Uri::set_param(std::string name, std::string value) {
 }
 
 std::string Uri::aor() const {
-  return user_.empty() ? host_ : user_ + "@" + host_;
+  if (user_.empty()) return host_.str();
+  std::string out;
+  out.reserve(user_.size() + 1 + host_.size());
+  out += user_;
+  out += '@';
+  out += host_.view();
+  return out;
 }
 
 std::string Uri::to_string() const {
-  std::string out = scheme_ + ":";
+  std::string out(scheme_.view());
+  out += ':';
   if (!user_.empty()) {
     out += user_;
     out += '@';
   }
-  out += host_;
+  out += host_.view();
   if (port_ != 0) {
     out += ':';
     out += std::to_string(port_);

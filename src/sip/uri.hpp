@@ -1,5 +1,12 @@
 // SIP URI (RFC 3261 19.1), the subset needed for proxy routing and location
 // lookup: scheme, user, host, port and ;name=value parameters.
+//
+// Scheme and host are interned Tokens: hosts are the simulated elements'
+// names, a bounded vocabulary (the same one Via sent-by draws from), and at
+// realistic lengths ("uas0.callee.example.net") they outgrow std::string's
+// inline buffer, so as strings every URI copy on the forward path would be
+// a malloc. The user part is per-subscriber (unbounded) but short, and stays
+// a std::string.
 #pragma once
 
 #include <optional>
@@ -9,6 +16,7 @@
 #include <vector>
 
 #include "common/result.hpp"
+#include "sip/intern.hpp"
 
 namespace svk::sip {
 
@@ -16,19 +24,23 @@ namespace svk::sip {
 class Uri {
  public:
   Uri() = default;
-  Uri(std::string user, std::string host, int port = 0)
-      : user_(std::move(user)), host_(std::move(host)), port_(port) {}
+  /// Hot-path form: a host Token the caller interned once.
+  Uri(std::string user, Token host, int port = 0)
+      : user_(std::move(user)), host_(host), port_(port) {}
+  /// Interns `host` (a hash lookup).
+  Uri(std::string user, std::string_view host, int port = 0)
+      : Uri(std::move(user), Token(host), port) {}
 
   /// Parses the textual form. Accepts an empty user part ("sip:host").
   [[nodiscard]] static Result<Uri> parse(std::string_view text);
 
-  [[nodiscard]] const std::string& scheme() const { return scheme_; }
+  [[nodiscard]] const Token& scheme() const { return scheme_; }
   [[nodiscard]] const std::string& user() const { return user_; }
-  [[nodiscard]] const std::string& host() const { return host_; }
+  [[nodiscard]] const Token& host() const { return host_; }
   /// 0 when the URI carries no explicit port.
   [[nodiscard]] int port() const { return port_; }
 
-  void set_host(std::string host) { host_ = std::move(host); }
+  void set_host(Token host) { host_ = host; }
   void set_user(std::string user) { user_ = std::move(user); }
   void set_port(int port) { port_ = port; }
 
@@ -59,9 +71,9 @@ class Uri {
   }
 
  private:
-  std::string scheme_ = "sip";
+  Token scheme_ = sip_scheme();
   std::string user_;
-  std::string host_;
+  Token host_;
   int port_ = 0;
   std::vector<std::pair<std::string, std::string>> params_;
 };

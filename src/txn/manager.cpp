@@ -74,7 +74,7 @@ ClientTransaction& TransactionManager::create_client(
   if (tap_ != nullptr) {
     ref.set_tap(tap_);
     tap_->on_client_created(
-        &ref, sip::TransactionKey{via.branch, via.sent_by.str(), method},
+        &ref, sip::TransactionKey{via.branch.str(), via.sent_by.str(), method},
         timers_);
   }
   if (out_handle != nullptr) *out_handle = handle;

@@ -16,6 +16,10 @@ Uac::Uac(sim::Simulator& sim, proxy::SipNetwork& network, Rng rng,
       network_(network),
       rng_(rng),
       config_(std::move(config)),
+      host_(config_.host),
+      target_domain_(config_.target_domain),
+      caller_uri_("caller", host_),
+      sdp_body_("v=0 o=sim c=IN IP4 0.0.0.0 m=audio 49170 RTP/AVP 0"),
       txns_(sim, config_.timers),
       branches_(config_.address.value() | (1ULL << 32)) {
   network_.attach(config_.address,
@@ -115,20 +119,26 @@ void Uac::place_call() {
   const std::string callee =
       "user" + std::to_string(n % static_cast<std::uint64_t>(
                                       std::max(1, config_.num_callees)));
-  const std::string call_id =
-      config_.host + "-" + std::to_string(n);
+  // The Call-ID is built once, here; every copy of every message of the
+  // call (and the call table key) shares this one block.
+  char digits[24];
+  call_id_scratch_.assign(config_.host);
+  call_id_scratch_ += '-';
+  call_id_scratch_.append(
+      digits, std::to_chars(digits, digits + sizeof(digits), n).ptr);
+  const sip::SharedText call_id(call_id_scratch_);
   const std::string from_tag = "uac" + std::to_string(n);
 
-  sip::Uri request_uri(callee, config_.target_domain);
+  sip::Uri request_uri(callee, target_domain_);
   sip::Message invite = sip::Message::request(
       sip::Method::kInvite, request_uri,
-      sip::NameAddr{"", sip::Uri("caller", config_.host), from_tag},
+      sip::NameAddr{"", caller_uri_, from_tag},
       sip::NameAddr{"", request_uri, ""}, call_id,
       sip::CSeq{1, sip::Method::kInvite});
-  invite.push_via(sip::Via{"SIP/2.0/UDP", config_.host, branches_.next()});
+  invite.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
   invite.set_max_forwards(config_.max_forwards);
-  invite.set_contact(sip::NameAddr{"", sip::Uri("caller", config_.host), ""});
-  invite.set_body("v=0 o=sim c=IN IP4 0.0.0.0 m=audio 49170 RTP/AVP 0");
+  invite.set_contact(sip::NameAddr{"", caller_uri_, ""});
+  invite.set_body(sdp_body_);
   maybe_attach_credentials(invite);
   auto invite_ptr = std::move(invite).finish();
 
@@ -158,7 +168,7 @@ void Uac::place_call() {
   }
 }
 
-void Uac::send_cancel(const std::string& call_id) {
+void Uac::send_cancel(const sip::SharedText& call_id) {
   const auto it = calls_.find(call_id);
   if (it == calls_.end() || it->second.established) return;  // answered
   Call& call = it->second;
@@ -177,7 +187,7 @@ void Uac::send_cancel(const std::string& call_id) {
                       txn::ClientCallbacks{});
 }
 
-void Uac::on_invite_response(const std::string& call_id,
+void Uac::on_invite_response(const sip::SharedText& call_id,
                              const sip::MessagePtr& msg) {
   const auto it = calls_.find(call_id);
   if (it == calls_.end()) return;
@@ -234,28 +244,28 @@ void Uac::on_invite_response(const std::string& call_id,
 void Uac::send_ack(Call& call, const sip::Message& ok) {
   sip::Message ack = sip::Message::request(
       sip::Method::kAck, call.remote_target,
-      sip::NameAddr{"", sip::Uri("caller", config_.host), call.from_tag},
-      ok.to(), call.call_id, sip::CSeq{1, sip::Method::kAck});
-  ack.push_via(sip::Via{"SIP/2.0/UDP", config_.host, branches_.next()});
+      sip::NameAddr{"", caller_uri_, call.from_tag}, ok.to(), call.call_id,
+      sip::CSeq{1, sip::Method::kAck});
+  ack.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
   ack.routes() = call.route_set;
   auto ack_ptr = std::move(ack).finish();
   call.ack = ack_ptr;
   network_.send(config_.address, config_.first_hop, ack_ptr);
 }
 
-void Uac::send_bye(const std::string& call_id) {
+void Uac::send_bye(const sip::SharedText& call_id) {
   const auto it = calls_.find(call_id);
   if (it == calls_.end()) return;
   Call& call = it->second;
 
   sip::Message bye = sip::Message::request(
       sip::Method::kBye, call.remote_target,
-      sip::NameAddr{"", sip::Uri("caller", config_.host), call.from_tag},
+      sip::NameAddr{"", caller_uri_, call.from_tag},
       sip::NameAddr{"", sip::Uri(call.invite->request_uri().user(),
-                                 config_.target_domain),
+                                 target_domain_),
                     call.to_tag},
       call.call_id, sip::CSeq{2, sip::Method::kBye});
-  bye.push_via(sip::Via{"SIP/2.0/UDP", config_.host, branches_.next()});
+  bye.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
   bye.set_max_forwards(config_.max_forwards);
   bye.routes() = call.route_set;
   maybe_attach_credentials(bye);

@@ -76,7 +76,7 @@ class Uac {
 
  private:
   struct Call {
-    std::string call_id;
+    sip::SharedText call_id;
     std::string from_tag;
     SimTime invite_sent;
     sip::MessagePtr invite;
@@ -94,11 +94,11 @@ class Uac {
   /// backoff deadline (SIPp's -rsa behavior; RFC 3261 21.5.4).
   void apply_retry_after(const sip::Message& response);
   void on_datagram(Address from, const sip::MessagePtr& msg);
-  void on_invite_response(const std::string& call_id,
+  void on_invite_response(const sip::SharedText& call_id,
                           const sip::MessagePtr& msg);
   void send_ack(Call& call, const sip::Message& ok);
-  void send_bye(const std::string& call_id);
-  void send_cancel(const std::string& call_id);
+  void send_bye(const sip::SharedText& call_id);
+  void send_cancel(const sip::SharedText& call_id);
   /// Wraps a network send with duplicate counting for `method` requests.
   [[nodiscard]] txn::SendFn counting_sender(sip::Method method);
   void maybe_attach_credentials(sip::Message& request) const;
@@ -107,10 +107,17 @@ class Uac {
   proxy::SipNetwork& network_;
   Rng rng_;
   UacConfig config_;
+  // Header parts every call repeats, built once at construction: the hot
+  // path copies Tokens and SharedText instead of interning or allocating.
+  sip::Token host_;
+  sip::Token target_domain_;
+  sip::Uri caller_uri_;  // From and Contact
+  sip::SharedText sdp_body_;
+  std::string call_id_scratch_;  // reused buffer for building Call-IDs
   txn::TransactionManager txns_;
   sip::BranchGenerator branches_;
   UacMetrics metrics_;
-  std::unordered_map<std::string, Call> calls_;
+  std::unordered_map<sip::SharedText, Call> calls_;
   bool running_{false};
   sim::EventId next_call_timer_{0};
   /// No new calls before this time (503 Retry-After backoff).

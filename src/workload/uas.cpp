@@ -9,6 +9,7 @@ Uas::Uas(sim::Simulator& sim, proxy::SipNetwork& network, UasConfig config)
     : sim_(sim),
       network_(network),
       config_(std::move(config)),
+      contact_{"", sip::Uri("", config_.host), ""},
       txns_(sim, config_.timers) {
   network_.attach(config_.address,
                   [this](Address from, const sip::MessagePtr& msg) {
@@ -87,7 +88,7 @@ void Uas::handle_invite(Address from, const sip::MessagePtr& msg) {
   pending.server_txn = server_handle;
   pending.tag = tag;
   pending.peer = from;
-  const std::string call_id = msg->call_id();
+  const sip::SharedText call_id = msg->call_id();
   if (config_.answer_delay > SimTime{}) {
     pending.timer = sim_.schedule(config_.answer_delay,
                                   [this, call_id] { answer(call_id); });
@@ -98,7 +99,7 @@ void Uas::handle_invite(Address from, const sip::MessagePtr& msg) {
   }
 }
 
-void Uas::answer(const std::string& call_id) {
+void Uas::answer(const sip::SharedText& call_id) {
   const auto it = ringing_.find(call_id);
   if (it == ringing_.end()) return;
   PendingAnswer ringing = std::move(it->second);
@@ -106,7 +107,7 @@ void Uas::answer(const std::string& call_id) {
 
   sip::Message ok = sip::Message::response(*ringing.invite, sip::status::kOk);
   ok.to().tag = ringing.tag;
-  ok.set_contact(sip::NameAddr{"", contact_uri(), ""});
+  ok.set_contact(contact_);
   auto ok_ptr = std::move(ok).finish();
   if (auto* server_txn = txns_.find_server(ringing.server_txn)) {
     server_txn->respond(ok_ptr);
@@ -152,7 +153,7 @@ void Uas::handle_cancel(Address from, const sip::MessagePtr& msg) {
   }
 }
 
-void Uas::retransmit_200(const std::string& call_id) {
+void Uas::retransmit_200(const sip::SharedText& call_id) {
   const auto it = pending_200_.find(call_id);
   if (it == pending_200_.end()) return;
   Pending200& pending = it->second;
@@ -196,10 +197,10 @@ void Uas::send_register(Address registrar, const std::string& aor,
       sip::CSeq{static_cast<std::uint32_t>(register_counter_),
                 sip::Method::kRegister});
   reg.push_via(sip::Via{
-      "SIP/2.0/UDP", config_.host,
+      sip::udp_protocol(), contact_.uri.host(),
       std::string(sip::kMagicCookie) + "-reg-" + config_.host + "-" +
           std::to_string(register_counter_)});
-  reg.set_contact(sip::NameAddr{"", contact_uri(), ""});
+  reg.set_contact(contact_);
   reg.set_header("Expires",
                  std::to_string(static_cast<long>(expires.to_seconds())));
 

@@ -40,9 +40,7 @@ class Uas {
   [[nodiscard]] const UasMetrics& metrics() const { return metrics_; }
   [[nodiscard]] const UasConfig& config() const { return config_; }
   /// The contact URI remote parties use to reach this UAS directly.
-  [[nodiscard]] sip::Uri contact_uri() const {
-    return sip::Uri("", config_.host);
-  }
+  [[nodiscard]] const sip::Uri& contact_uri() const { return contact_.uri; }
 
   /// Registers `aor` ("user@domain") with the given registrar proxy via a
   /// real REGISTER transaction (RFC 3261 10). With `auto_refresh`, the
@@ -65,14 +63,16 @@ class Uas {
   void handle_bye(Address from, const sip::MessagePtr& msg);
   void handle_ack(const sip::MessagePtr& msg);
   void handle_cancel(Address from, const sip::MessagePtr& msg);
-  void answer(const std::string& call_id);
-  void retransmit_200(const std::string& call_id);
+  void answer(const sip::SharedText& call_id);
+  void retransmit_200(const sip::SharedText& call_id);
   void send_register(Address registrar, const std::string& aor,
                      SimTime expires, bool auto_refresh);
 
   sim::Simulator& sim_;
   proxy::SipNetwork& network_;
   UasConfig config_;
+  /// Contact header, built once (its host interned once) at construction.
+  sip::NameAddr contact_;
   txn::TransactionManager txns_;
   UasMetrics metrics_;
   std::uint64_t tag_counter_{0};
@@ -87,7 +87,7 @@ class Uas {
     SimTime interval;
     SimTime deadline;
   };
-  std::unordered_map<std::string, Pending200> pending_200_;
+  std::unordered_map<sip::SharedText, Pending200> pending_200_;
 
   /// Calls ringing (180 sent, 200 pending) — cancellable.
   struct PendingAnswer {
@@ -99,7 +99,7 @@ class Uas {
     Address peer;
     sim::EventId timer = 0;
   };
-  std::unordered_map<std::string, PendingAnswer> ringing_;
+  std::unordered_map<sip::SharedText, PendingAnswer> ringing_;
 };
 
 }  // namespace svk::workload

@@ -9,6 +9,8 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -667,7 +669,11 @@ TEST(SmallVectorTest, InsertEraseAndEquality) {
 
 TEST(SmallVectorTest, CopyAndMoveAcrossInlineAndHeapStates) {
   SmallVector<std::string, 2> heap;
-  for (int i = 0; i < 5; ++i) heap.push_back("s" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) {
+    std::string value = "s";
+    value += std::to_string(i);
+    heap.push_back(std::move(value));
+  }
 
   SmallVector<std::string, 2> copied(heap);
   EXPECT_EQ(copied, heap);

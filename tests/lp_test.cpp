@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "lp/simplex.hpp"
 #include "lp/state_model.hpp"
@@ -338,7 +340,9 @@ TEST_P(SeriesLengthTest, OptimumMatchesClosedForm) {
   StateDistributionModel model;
   std::vector<NodeIndex> nodes;
   for (int i = 0; i < n; ++i) {
-    nodes.push_back(model.add_node("s" + std::to_string(i), kTsf, kTsl));
+    std::string name = "s";
+    name += std::to_string(i);
+    nodes.push_back(model.add_node(std::move(name), kTsf, kTsl));
   }
   for (int i = 0; i + 1 < n; ++i) model.add_edge(nodes[i], nodes[i + 1]);
   model.mark_entry(nodes.front());

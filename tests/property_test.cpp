@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -222,8 +223,10 @@ TEST(LpPropertyTest, ChainOptimumBoundedAndMonotone) {
       std::vector<lp::NodeIndex> nodes;
       for (int i = 0; i < n; ++i) {
         const double scale = (i == 0) ? boost_first : 1.0;
-        nodes.push_back(model.add_node("s" + std::to_string(i),
-                                       scale * t_sf, scale * t_sl));
+        std::string name = "s";
+        name += std::to_string(i);
+        nodes.push_back(
+            model.add_node(std::move(name), scale * t_sf, scale * t_sl));
       }
       for (int i = 0; i + 1 < n; ++i) {
         model.add_edge(nodes[i], nodes[i + 1]);
@@ -254,7 +257,9 @@ TEST(LpPropertyTest, StatefulCoverageExactAtOptimum) {
     std::vector<lp::NodeIndex> nodes;
     for (int i = 0; i < n; ++i) {
       const double t_sf = rng.uniform(5000.0, 15000.0);
-      nodes.push_back(model.add_node("s" + std::to_string(i), t_sf,
+      std::string name = "s";
+      name += std::to_string(i);
+      nodes.push_back(model.add_node(std::move(name), t_sf,
                                      t_sf * rng.uniform(1.1, 1.6)));
     }
     for (int i = 0; i + 1 < n; ++i) model.add_edge(nodes[i], nodes[i + 1]);

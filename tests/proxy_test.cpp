@@ -503,9 +503,10 @@ TEST_F(ProxyPipelineTest, SaturatedProxySends500) {
   // queue-delay bound trips immediately after the first few admissions.
   build({.capacity = 1000.0, .max_queue_delay = SimTime::millis(200)});
   for (int i = 0; i < 10; ++i) {
+    const std::string n = std::to_string(i);
     client->send(proxy->config().address,
-                 make_invite("c" + std::to_string(i),
-                             "z9hG4bK-t" + std::to_string(i)));
+                 make_invite(std::string("c").append(n),
+                             std::string("z9hG4bK-t").append(n)));
   }
   bed->sim().run_until(SimTime::seconds(2.0));
   EXPECT_GT(client->count_status(500), 0);

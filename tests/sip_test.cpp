@@ -614,7 +614,7 @@ TEST(BranchTest, GeneratorEmitsUniqueCookiePrefixed) {
   BranchGenerator gen(42);
   std::set<std::string> seen;
   for (int i = 0; i < 1000; ++i) {
-    const std::string branch = gen.next();
+    const std::string branch = gen.next().str();
     EXPECT_TRUE(branch.starts_with(kMagicCookie)) << branch;
     EXPECT_TRUE(seen.insert(branch).second) << "duplicate " << branch;
   }
@@ -627,8 +627,10 @@ TEST(BranchTest, DistinctElementsDistinctBranches) {
 }
 
 TEST(BranchTest, StatelessBranchDeterministic) {
-  const std::string b1 = stateless_branch("z9hG4bK-abc", "p1.example.com");
-  const std::string b2 = stateless_branch("z9hG4bK-abc", "p1.example.com");
+  const std::string b1 =
+      stateless_branch("z9hG4bK-abc", "p1.example.com").str();
+  const std::string b2 =
+      stateless_branch("z9hG4bK-abc", "p1.example.com").str();
   EXPECT_EQ(b1, b2);
   EXPECT_TRUE(b1.starts_with(kMagicCookie));
   // Different host or input branch -> different output.
@@ -659,7 +661,7 @@ TEST(TxnKeyTest, ResponseMatchesClientKeyOfRequest) {
   const Message resp = Message::response(invite, 180);
   // Client key of the response equals the key derived from the request's
   // top via + method.
-  const TransactionKey expect{invite.top_via().branch,
+  const TransactionKey expect{invite.top_via().branch.str(),
                               invite.top_via().sent_by.str(), Method::kInvite};
   EXPECT_EQ(client_key(resp), expect);
 }
@@ -731,8 +733,9 @@ Message random_message(Rng& rng) {
     msg.record_routes().push_back(Uri("", host()));
   }
   for (std::size_t i = rng.uniform_int(4); i > 0; --i) {
-    msg.set_header("X-Prop-" + std::to_string(i),
-                   "v" + std::to_string(rng.uniform_int(100)));
+    msg.set_header(std::string("X-Prop-").append(std::to_string(i)),
+                   std::string("v").append(
+                       std::to_string(rng.uniform_int(100))));
   }
   if (rng.uniform_int(2) == 0) {
     msg.set_contact(NameAddr{display(), Uri(user(), host()), ""});
@@ -779,8 +782,10 @@ TEST(WirePropertyTest, OversizedViaChainSurvivesCommaCombinedForm) {
   Message msg = make_invite();
   msg.pop_via();
   for (int i = 0; i < 9; ++i) {
-    msg.push_via(Via{"SIP/2.0/UDP", "h" + std::to_string(i) + ".example.com",
-                     "z9hG4bK-v" + std::to_string(i)});
+    const std::string n = std::to_string(i);
+    msg.push_via(Via{"SIP/2.0/UDP",
+                     std::string("h").append(n).append(".example.com"),
+                     std::string("z9hG4bK-v").append(n)});
   }
   const std::string wire = msg.to_wire();
 

@@ -414,5 +414,26 @@ TEST(InternTest, RepeatedViaStringsDoNotGrowTheTable) {
   EXPECT_EQ(a.str(), "intern-host.test");
 }
 
+TEST(InternTest, UriHostsInternButUsersDoNot) {
+  using namespace svk::sip;
+  (void)sip_scheme();  // the default scheme: interned once per process
+  const std::size_t before = intern_table_size();
+  std::string user;
+  for (int i = 0; i < 10'000; ++i) {
+    user = "subscriber";
+    user += std::to_string(i);
+    const Uri uri(user, "uri-host.callee.example.net");
+    ASSERT_EQ(uri.host(), "uri-host.callee.example.net");
+    ASSERT_EQ(uri.user(), user);
+  }
+  // One host; the 10k distinct users stay plain strings.
+  EXPECT_LE(intern_table_size(), before + 1);
+  const Uri parsed =
+      Uri::parse("sip:subscriber7@uri-host.callee.example.net").value();
+  EXPECT_EQ(parsed.host(), Uri("x", "uri-host.callee.example.net").host());
+  EXPECT_EQ(parsed.scheme(), "sip");
+  EXPECT_LE(intern_table_size(), before + 1);
+}
+
 }  // namespace
 }  // namespace svk::sim
