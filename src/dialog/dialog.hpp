@@ -8,7 +8,7 @@
 // Records live in a Slab (stable addresses, freelist reuse); the table is a
 // FlatTable of (precomputed id hash, slab handle). The only owning strings
 // are inside the Dialog record itself (its id — the key-inside-value
-// layout of DESIGN.md §12); lookups hash Call-ID + tags straight off the
+// layout of DESIGN.md §11); lookups hash Call-ID + tags straight off the
 // message into a DialogProbe and compare views, so the in-dialog hot path
 // (match on every BYE, confirm on every 2xx) allocates nothing.
 #pragma once

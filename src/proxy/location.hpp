@@ -3,7 +3,7 @@
 // "Lookup" cost block is the query against this service (OpenSER's usrloc
 // table).
 //
-// Storage follows the flat state-store layout (DESIGN.md §12): entries live
+// Storage follows the flat state-store layout (DESIGN.md §11): entries live
 // in a Slab and the index is a FlatTable of (AOR hash, slab handle) — the
 // AOR string is owned once, inside the entry. The hot-path query is
 // lookup_uri, which hashes user '@' host straight off the request URI's
@@ -71,11 +71,9 @@ class LocationService {
                                                      std::string_view host,
                                                      SimTime now) const;
 
-  /// One service is shared by every proxy of a bed, so under the sharded
-  /// engine different shard threads may touch it in the same safe window.
-  /// The lock makes the *container* safe; result determinism holds because
-  /// all traffic for one AOR goes through its registrar proxy — a single
-  /// host, hence a single shard (see DESIGN.md §11).
+  /// One service is shared by every proxy of a bed. A bed runs on one
+  /// thread, so within a run the lock is uncontended; it keeps the
+  /// container safe for callers that share a service across threads.
   mutable std::shared_mutex mutex_;
   common::Slab<Entry> slab_;
   common::FlatTable<common::SlabHandle> table_;

@@ -29,23 +29,11 @@ EventId Simulator::schedule_at(SimTime when, Action action) {
   return schedule_at_for(ambient_locus_, when, std::move(action));
 }
 
-EventId Simulator::schedule_for(std::uint32_t locus, SimTime delay,
-                                Action action) {
-  if (delay < SimTime{}) delay = SimTime{};
-  return schedule_at_for(locus, now_ + delay, std::move(action));
-}
-
 EventId Simulator::schedule_at_for(std::uint32_t locus, SimTime when,
                                    Action action) {
   if (when < now_) when = now_;
   return wheel_.insert_keyed(when, allocate_order_key(), locus,
                              std::move(action));
-}
-
-EventId Simulator::insert_keyed(SimTime at, OrderKey key, std::uint32_t locus,
-                                Action action) {
-  if (at < now_) at = now_;
-  return wheel_.insert_keyed(at, key, locus, std::move(action));
 }
 
 EventId Simulator::reschedule(EventId id, SimTime delay, Action action) {
@@ -83,12 +71,6 @@ void Simulator::run_until(SimTime until) {
   while (step_until(until)) {
   }
   if (now_ < until) now_ = until;
-}
-
-void Simulator::run_window(SimTime end) {
-  const SimTime limit = SimTime::nanos(end.ns() - 1);
-  while (step_until(limit)) {
-  }
 }
 
 void Simulator::run() {

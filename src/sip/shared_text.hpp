@@ -13,12 +13,13 @@
 // frees it. This is SER's rule (keep header storage, share it, do not
 // re-allocate it per hop) applied to a shared-pointer message model.
 //
-// The refcount is atomic because messages cross threads: the sharded engine
-// delivers a MessagePtr built on one shard to another, and both ends may
-// copy or drop headers concurrently. Increments are relaxed (a new
-// reference is made from an existing one, which already orders the text);
-// the final decrement is acq_rel so the freeing thread sees every other
-// thread's last use of the block.
+// The refcount is atomic so that copies of one text may be made and dropped
+// on different threads (the 4-thread stress test in shared_text_test pins
+// this). A simulation run itself is single-threaded, so within a run the
+// atomics are uncontended. Increments are relaxed (a new reference is made
+// from an existing one, which already orders the text); the final
+// decrement is acq_rel so the freeing thread sees every other thread's last
+// use of the block.
 #pragma once
 
 #include <atomic>

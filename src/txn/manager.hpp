@@ -1,7 +1,7 @@
 // Transaction table: matches incoming messages to transactions
 // (RFC 3261 17.1.3 / 17.2.3) and owns transaction lifetimes.
 //
-// Storage is the flat slab-backed state store (DESIGN.md §12): transactions
+// Storage is the flat slab-backed state store (DESIGN.md §11): transactions
 // live in per-manager Slabs (stable addresses, freelist reuse, generation
 // tags), and the client/server tables are FlatTables holding just
 // (precomputed key hash, slab handle) per entry. The key itself is never

@@ -88,8 +88,8 @@ std::vector<GoldenScenario> golden_scenarios() {
                            0.8, scaled_options(PolicyKind::kServartuka, 2)),
                        105.0});
 
-  // Figure 8: three-server parallel fork, and the wide-fork variant the
-  // sharded-engine benchmark uses.
+  // Figure 8: three-server parallel fork, and a 16-exit wide fork (many
+  // hosts behind one balancer: the address-order and order-key pinning).
   scenarios.push_back({"fig8_parallel_fork_servartuka",
                        parallel_fork(
                            scaled_options(PolicyKind::kServartuka, 3)),

@@ -133,10 +133,9 @@ TEST(SharedTextTest, HashMatchesStdStringHash) {
   EXPECT_EQ(map.count(SharedText(std::string(kCallId))), 1u);
 }
 
-// Four threads copy and drop headers of the same shared messages at once —
-// what the sharded engine does when one shard's MessagePtr is delivered to
-// another and both clone it. Every refcount must balance (no leak, no
-// double free: ASan/TSan builds flag either) and the text must never tear.
+// Four threads copy and drop headers of the same shared messages at once.
+// Every refcount must balance (no leak, no double free: ASan/TSan builds
+// flag either) and the text must never tear.
 TEST(SharedTextTest, ConcurrentCopyAndDestroyOfSharedMessages) {
   constexpr int kThreads = 4;
   constexpr int kMessages = 16;

@@ -302,6 +302,23 @@ TEST(NetworkTest, UnattachedDestinationCountsAsDrop) {
   EXPECT_EQ(net.stats().delivered, 0u);
 }
 
+TEST(NetworkTest, StatsAndNoRouteMapAreLiveReferences) {
+  Simulator sim;
+  TestNetwork net(sim, Rng(1));
+  const NetworkStats& s = net.stats();
+  const auto& no_route = net.no_route_drops_by_dest();
+  net.attach(Address{2}, [](Address, std::string) {});
+  net.send(Address{1}, Address{2}, "hello");
+  EXPECT_EQ(s.sent, 1u);
+  net.send(Address{1}, Address{9}, "void");
+  EXPECT_EQ(s.sent, 2u);
+  sim.run();
+  EXPECT_EQ(s.delivered, 1u);
+  EXPECT_EQ(s.dropped_no_route, 1u);
+  ASSERT_EQ(no_route.size(), 1u);
+  EXPECT_EQ(no_route.at(9), 1u);
+}
+
 TEST(NetworkTest, LossDropsApproximatelyAtRate) {
   Simulator sim;
   TestNetwork net(sim, Rng(42));

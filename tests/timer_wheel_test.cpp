@@ -268,11 +268,12 @@ TEST(TimerWheelTest, ChurnHeavyScheduleIsBitReproducible) {
 }
 
 // ---------------------------------------------------------------------------
-// Safe-window edge cases: the parallel engine (sim/parallel_sim) drives the
-// wheel through run_window() slices with keyed cross-shard inserts between
-// them. These pin the wheel behaviors that makes correct: rescheduling an
-// event across a window boundary, key-order ties between overflow-heap and
-// in-wheel events at one tick, and cursor rewind after a window barrier.
+// Run-horizon edge cases: the harness drives the simulator through
+// successive run_until() slices (warm-up, then measurement windows) and
+// schedules between them. These pin the wheel behaviors that relies on:
+// rescheduling an event past a slice's horizon, key-order ties between
+// overflow-heap and in-wheel events at one tick, and cursor rewind when a
+// schedule between slices lands before the cascaded cursor.
 // ---------------------------------------------------------------------------
 
 TEST(TimerWheelTest, RescheduleAcrossWindowBoundaryFiresOnceAtNewTime) {
@@ -282,14 +283,14 @@ TEST(TimerWheelTest, RescheduleAcrossWindowBoundaryFiresOnceAtNewTime) {
       sim.schedule_at(SimTime::micros(50),
                       [&fired, &sim] { fired.push_back(sim.now().ns()); });
   sim.schedule_at(SimTime::micros(40), [&] {
-    // Move the 50us event into the NEXT safe window [100us, 200us).
+    // Move the 50us event past the first slice's 100us horizon.
     id = sim.reschedule(id, SimTime::micros(110),
                         [&fired, &sim] { fired.push_back(sim.now().ns()); });
   });
 
-  sim.run_window(SimTime::micros(100));
+  sim.run_until(SimTime::micros(100));
   EXPECT_TRUE(fired.empty());  // the original 50us firing must be gone
-  sim.run_window(SimTime::micros(200));
+  sim.run_until(SimTime::micros(200));
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0], SimTime::micros(150).ns());
 }
@@ -329,17 +330,17 @@ TEST(TimerWheelTest, RewindAfterWindowBarrierKeepsTimeOrder) {
   std::vector<std::int64_t> fired;
   const auto record = [&fired, &sim] { fired.push_back(sim.now().ns()); };
 
-  // Only a far-future event exists: running a window peeks toward it and
-  // cascades the cursor well past the window end.
+  // Only a far-future event exists: running to a horizon short of it peeks
+  // toward it and cascades the cursor well past the horizon.
   sim.schedule_at(SimTime::millis(10), record);
-  sim.run_window(SimTime::micros(100));
+  sim.run_until(SimTime::micros(100));
   EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(sim.now(), SimTime::micros(100));
 
-  // A barrier-time insert lands between the window end and the cursor —
-  // exactly what a cross-shard mailbox drain does — forcing a rewind.
-  sim.insert_keyed(SimTime::micros(150), make_order_key(1, 1), 1,
-                   EventAction(record));
-  sim.run_window(SimTime::millis(1));
+  // A schedule between slices lands between the horizon and the cursor,
+  // forcing a rewind.
+  sim.schedule_at(SimTime::micros(150), record);
+  sim.run_until(SimTime::millis(1));
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0], SimTime::micros(150).ns());
   EXPECT_GE(sim.event_stats().rewinds, 1u);
