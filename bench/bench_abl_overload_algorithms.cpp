@@ -21,7 +21,16 @@
 //   * the whole measurement is bit-deterministic: every point is run
 //     twice and the MD5 over all serialized records must match.
 //
-//   --quick    CI smoke: only the gate load (the gate still runs).
+// Full mode adds a second, ungated table: kNone's queue-delay bound swept
+// 25–800 ms on the homogeneous two-series chain at 9600 cps (just past the
+// static knee). A finding of this reproduction: the bound interacts with
+// the SIP retransmission timers. If four queue traversals exceed T1
+// (500 ms), UAS 200-OK retransmissions and UAC INVITE retransmissions keep
+// a saturated queue saturated — a storm that pins throughput well below
+// capacity. Bounds comfortably under T1/4 keep saturation graceful.
+//
+//   --quick    CI smoke: only the gate load (the gate still runs), no
+//              queue-bound table.
 #include <cstring>
 
 #include "bench_util.hpp"
@@ -78,10 +87,10 @@ workload::BedFactory make_factory(const Combo& combo) {
   options.num_uacs = 6;
   options.overload_control.kind = combo.control;
   // Deep-buffer regime: an uncontrolled node soaks up 1.6 RTTs of backlog
-  // before its legacy 500 bound trips — past the knee that feeds the
-  // retransmission storm the controls are measured against. The policies
-  // replace this bound, so it only shapes the kNone baseline.
-  options.max_queue_delay = SimTime::millis(800);
+  // before kNone's 500 bound trips — past the knee that feeds the
+  // retransmission storm the controls are measured against. Only kNone
+  // reads the bound.
+  options.overload_control.max_queue_delay = SimTime::millis(800);
   return workload::series_chain(2, options);
 }
 
@@ -104,6 +113,44 @@ std::vector<workload::PointResult> run_pass() {
     }
   }
   return workload::run_points_parallel(jobs, g_threads);
+}
+
+/// Queue-bound table: offered load just past the homogeneous static chain's
+/// knee, and the kNone bounds swept.
+constexpr double kBoundOffered = 9600.0;
+constexpr double kBoundsMs[] = {25.0, 50.0, 100.0, 200.0, 400.0, 800.0};
+
+struct BoundRow {
+  double bound_ms;
+  double static_tput;
+  double servartuka_tput;
+};
+
+/// Every (bound, policy) pair is an independent simulation; all run across
+/// the worker threads at once.
+std::vector<BoundRow> run_bound_sweep() {
+  std::vector<std::function<workload::PointResult()>> jobs;
+  for (const double bound_ms : kBoundsMs) {
+    for (const PolicyKind policy :
+         {PolicyKind::kStaticAllStateful, PolicyKind::kServartuka}) {
+      jobs.push_back([policy, bound_ms] {
+        auto options = scenario(policy);
+        options.overload_control.max_queue_delay =
+            SimTime::millis(static_cast<std::int64_t>(bound_ms));
+        return workload::measure_point(workload::series_chain(2, options),
+                                       scaled(kBoundOffered),
+                                       storm_measure());
+      });
+    }
+  }
+  const auto results = workload::run_points_parallel(jobs, g_threads);
+  std::vector<BoundRow> rows;
+  for (std::size_t i = 0; i < std::size(kBoundsMs); ++i) {
+    rows.push_back(BoundRow{kBoundsMs[i],
+                            full(results[2 * i].throughput_cps),
+                            full(results[2 * i + 1].throughput_cps)});
+  }
+  return rows;
 }
 
 /// MD5 over every serialized record of a pass, wall-clock zeroed (host
@@ -197,11 +244,40 @@ int main(int argc, char** argv) {
   std::printf("gate: bit-identical rerun digest %s -> %s\n", digest.c_str(),
               digest_ok ? "ok" : "FAIL");
 
+  std::vector<BoundRow> bound_rows;
+  if (!g_quick) {
+    bound_rows = run_bound_sweep();
+    std::printf("\nno control: queue-delay bound, homogeneous two-series "
+                "chain at %.0f cps offered\n",
+                kBoundOffered);
+    std::printf("%-14s %16s %16s\n", "bound (ms)", "static (cps)",
+                "SERvartuka (cps)");
+    for (const BoundRow& row : bound_rows) {
+      std::printf("%-14.0f %16.0f %16.0f\n", row.bound_ms, row.static_tput,
+                  row.servartuka_tput);
+    }
+    std::printf("(T1 = 500 ms; bounds whose worst-case round trip exceeds"
+                " T1 trigger\n retransmission storms that pin saturated"
+                " queues — throughput collapses)\n");
+  }
+
   BenchReport report("abl_overload_algorithms");
   report.root()["quick"] = g_quick;
   for (const Series& s : series) report.add_series(s);
   report.add_metric("knee_cps", kKneeCps);
   report.add_metric("gate_load_cps", kGateLoad);
+  if (!g_quick) {
+    JsonValue& bounds = report.root()["bounds"];
+    bounds = JsonValue::array();
+    for (const BoundRow& row : bound_rows) {
+      JsonValue entry = JsonValue::object();
+      entry["bound_ms"] = row.bound_ms;
+      entry["static_throughput_cps"] = row.static_tput;
+      entry["servartuka_throughput_cps"] = row.servartuka_tput;
+      bounds.push_back(std::move(entry));
+    }
+    report.add_metric("bound_offered_cps", kBoundOffered);
+  }
   report.root()["determinism_digest"] = digest;
   report.root()["determinism_rerun_match"] = digest_ok;
   report.root()["gate_pass"] = gate_ok && digest_ok;

@@ -20,6 +20,25 @@ std::string_view to_string(ControlKind kind) {
 namespace {
 
 // ---------------------------------------------------------------------------
+// Queue-delay bound (no control)
+// ---------------------------------------------------------------------------
+
+/// The paper's OpenSER: refuse with 500 once the backlog ahead of a new
+/// INVITE implies more than max_queue_delay of queueing. Backlog equal to
+/// the bound is still admitted. No control loop: no tick, no feedback.
+class QueueBoundPolicy : public OverloadPolicy {
+ public:
+  using OverloadPolicy::OverloadPolicy;
+
+  AdmitDecision admit(std::size_t, SimTime, SimTime backlog) override {
+    return backlog > config_.max_queue_delay ? AdmitDecision::kRejectBusy
+                                             : AdmitDecision::kAdmit;
+  }
+
+  SimTime control_period() const override { return SimTime{}; }
+};
+
+// ---------------------------------------------------------------------------
 // Local occupancy gate
 // ---------------------------------------------------------------------------
 
@@ -32,9 +51,7 @@ class LocalOccupancyPolicy : public OverloadPolicy {
   explicit LocalOccupancyPolicy(OverloadConfig config)
       : OverloadPolicy(config) {}
 
-  AdmitDecision admit(std::size_t path_index, SimTime now) override {
-    (void)path_index;
-    (void)now;
+  AdmitDecision admit(std::size_t, SimTime, SimTime) override {
     return local_gate();
   }
 
@@ -45,18 +62,6 @@ class LocalOccupancyPolicy : public OverloadPolicy {
     stats_.smoothed_occupancy =
         (1.0 - g) * stats_.smoothed_occupancy + g * occupancy;
   }
-
-  double advertised_rate() const override { return -1.0; }
-
-  void on_rate_advertisement(std::size_t, double, SimTime) override {
-    ++stats_.advertisements_received;  // counted but unused by this control
-  }
-
-  void on_downstream_503(std::size_t, SimTime) override {
-    ++stats_.downstream_503;
-  }
-
-  std::string_view name() const override { return "local"; }
 
  protected:
   /// The shared shedding step: admit unless smoothed occupancy exceeds the
@@ -101,7 +106,7 @@ class HopByHopPolicy : public LocalOccupancyPolicy {
   HopByHopPolicy(OverloadConfig config, std::size_t num_paths)
       : LocalOccupancyPolicy(config), buckets_(num_paths) {}
 
-  AdmitDecision admit(std::size_t path_index, SimTime now) override {
+  AdmitDecision admit(std::size_t path_index, SimTime now, SimTime) override {
     ++offered_in_period_;
     // The local gate guards this node; the bucket guards the next hop.
     const AdmitDecision local = local_gate();
@@ -205,8 +210,6 @@ class HopByHopPolicy : public LocalOccupancyPolicy {
     }
   }
 
-  std::string_view name() const override { return "hop-by-hop"; }
-
  private:
   struct Bucket {
     double rate_rps = -1.0;  // negative = no advert ever received
@@ -241,13 +244,13 @@ std::unique_ptr<OverloadPolicy> make_overload_policy(
     const OverloadConfig& config, std::size_t num_paths) {
   switch (config.kind) {
     case ControlKind::kNone:
-      return nullptr;
+      break;
     case ControlKind::kLocalOccupancy:
       return std::make_unique<LocalOccupancyPolicy>(config);
     case ControlKind::kHopByHopRate:
       return std::make_unique<HopByHopPolicy>(config, num_paths);
   }
-  return nullptr;
+  return std::make_unique<QueueBoundPolicy>(config);
 }
 
 }  // namespace svk::overload

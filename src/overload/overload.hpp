@@ -1,18 +1,18 @@
-// Overload control (src/overload).
+// Overload control (src/overload): the proxy's one admission gate.
 //
-// SERvartuka's delegation decides *where* transaction state lives but sheds
-// no load: once the whole chain saturates, retransmission storms pin goodput
-// far below capacity (the classic SIP congestion collapse studied by Shen,
-// Schulzrinne & Nahum and by Hong, Huang & Yan). This subsystem adds the
-// missing piece: a pluggable OverloadPolicy the proxy consults on ingress
-// for every session-initiating request.
+// Every new INVITE a proxy accepts passes exactly one OverloadPolicy::admit
+// call (ProxyServer::plan_new_request). Three policies sit behind it:
 //
-// Two concrete controls are provided:
+//  * kNone — the paper's OpenSER: no control loop. A new INVITE is refused
+//    with `500 Server Busy` when the CPU backlog ahead of it implies more
+//    than `max_queue_delay` of queueing. This is the saturation signature
+//    the paper reports, and the deep-buffer baseline the controls below are
+//    measured against.
 //
 //  * kLocalOccupancy — occupancy-based local admission. A smoothed CPU
 //    occupancy estimate is compared against a target; above target, a
 //    deterministic fraction of new INVITEs is rejected with
-//    `503 Service Unavailable` + `Retry-After`, replacing the raw
+//    `503 Service Unavailable` + `Retry-After`, instead of waiting for the
 //    queue-delay bound (which rejects only after the damage — a full
 //    backlog — is already done).
 //
@@ -24,6 +24,13 @@
 //    before the wire (rejecting locally with 503 on the overloaded hop's
 //    behalf), so the overloaded server never spends CPU on work it would
 //    shed anyway.
+//
+// SERvartuka's delegation decides *where* transaction state lives but sheds
+// no load: once the whole chain saturates, retransmission storms pin goodput
+// far below capacity (the SIP congestion collapse studied by Shen,
+// Schulzrinne & Nahum and by Hong, Huang & Yan). The controls add the
+// missing piece; the X-Overload state-delegation signalling is separate and
+// stays in src/core.
 //
 // Determinism invariants (the whole simulator is bit-reproducible):
 //  * No wall clock, no RNG. All control state advances on sim time only:
@@ -45,7 +52,7 @@
 namespace svk::overload {
 
 enum class ControlKind {
-  kNone,            // legacy behavior: queue-delay bound + 500
+  kNone,            // no control loop: queue-delay bound + 500
   kLocalOccupancy,  // local 503 + Retry-After above target occupancy
   kHopByHopRate,    // local gate + oc Via feedback to upstream throttlers
 };
@@ -54,6 +61,10 @@ enum class ControlKind {
 
 struct OverloadConfig {
   ControlKind kind = ControlKind::kNone;
+  /// kNone's admission bound: a new INVITE is refused with 500 when the CPU
+  /// backlog ahead of it exceeds this queueing delay. Also the scale of the
+  /// SERvartuka controller's observed backlog fraction.
+  SimTime max_queue_delay = SimTime::millis(1500);
   /// Occupancy setpoint the controller regulates toward. Occupancy is
   /// utilization plus normalized backlog growth, so it exceeds 1.0 when the
   /// queue is building — that surplus is the control error.
@@ -95,12 +106,15 @@ struct OverloadStats {
 
 enum class AdmitDecision {
   kAdmit,
+  kRejectBusy,       // the CPU backlog exceeds max_queue_delay (500)
   kRejectLocal,      // this node is overloaded (local occupancy gate)
   kRejectThrottled,  // a downstream neighbor's advertised rate is exhausted
 };
 
 /// Ingress admission + feedback control, consulted by ProxyServer. One
-/// instance per proxy; paths index the proxy's RouteTable paths.
+/// instance per proxy; paths index the proxy's RouteTable paths. The
+/// defaults are those of a policy with no feedback: it ignores occupancy
+/// samples, advertises nothing and only counts what arrives from downstream.
 class OverloadPolicy {
  public:
   explicit OverloadPolicy(OverloadConfig config) : config_(config) {}
@@ -110,26 +124,40 @@ class OverloadPolicy {
   OverloadPolicy& operator=(const OverloadPolicy&) = delete;
 
   /// Admission decision for a new session-initiating request bound for
-  /// `path_index`. Mutates throttle/shed state (a decision is a commitment).
+  /// `path_index`, arriving while `backlog` of CPU work is queued ahead of
+  /// it. Mutates throttle/shed state (a decision is a commitment).
   [[nodiscard]] virtual AdmitDecision admit(std::size_t path_index,
-                                            SimTime now) = 0;
+                                            SimTime now, SimTime backlog) = 0;
+
+  /// How often the proxy should feed occupancy samples; zero arms no
+  /// control tick.
+  [[nodiscard]] virtual SimTime control_period() const {
+    return config_.control_period;
+  }
 
   /// Periodic occupancy sample from the proxy's control tick. `occupancy`
   /// is utilization + backlog growth (may exceed 1.0 under overload).
-  virtual void on_occupancy_sample(double occupancy, SimTime now) = 0;
+  virtual void on_occupancy_sample(double /*occupancy*/, SimTime /*now*/) {}
 
   /// Rate this node currently advertises to its upstream neighbors (cps);
   /// negative = no restriction. Stamped as `oc` on outgoing responses.
-  [[nodiscard]] virtual double advertised_rate() const = 0;
+  [[nodiscard]] virtual double advertised_rate() const { return -1.0; }
 
   /// An `oc` advertisement arrived from the next hop of `path_index`.
-  virtual void on_rate_advertisement(std::size_t path_index, double rate_rps,
-                                     SimTime now) = 0;
+  virtual void on_rate_advertisement(std::size_t /*path_index*/,
+                                     double /*rate_rps*/, SimTime /*now*/) {
+    ++stats_.advertisements_received;
+  }
 
   /// A 503 (without oc feedback) arrived from the next hop of `path_index`.
-  virtual void on_downstream_503(std::size_t path_index, SimTime now) = 0;
+  virtual void on_downstream_503(std::size_t /*path_index*/,
+                                 SimTime /*now*/) {
+    ++stats_.downstream_503;
+  }
 
-  [[nodiscard]] virtual std::string_view name() const = 0;
+  [[nodiscard]] std::string_view name() const {
+    return to_string(config_.kind);
+  }
 
   [[nodiscard]] const OverloadStats& stats() const { return stats_; }
   [[nodiscard]] const OverloadConfig& config() const { return config_; }
@@ -139,9 +167,7 @@ class OverloadPolicy {
   OverloadStats stats_;
 };
 
-/// Builds the policy for `config.kind`; returns nullptr for kNone (the
-/// proxy then keeps its legacy queue-bound + 500 behavior, bit-identical
-/// to builds before this subsystem existed).
+/// Builds the policy for `config.kind` (never null).
 [[nodiscard]] std::unique_ptr<OverloadPolicy> make_overload_policy(
     const OverloadConfig& config, std::size_t num_paths);
 

@@ -39,8 +39,7 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
       config_(std::move(config)),
       host_(config_.host),
       own_uri_("", host_),
-      cpu_(sim, sim::CpuQueueConfig{config_.cpu_capacity,
-                                    config_.max_queue_delay}),
+      cpu_(sim, config_.cpu_capacity),
       txns_(sim, config_.timers),
       auth_(config_.auth_realm.empty() ? config_.host : config_.auth_realm,
             config_.auth_nonce.empty() ? "nonce-" + config_.host
@@ -67,7 +66,8 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
         sim_, policy_->tick_period(), [this] {
           policy_->observed_utilization = tick_probe_->utilization();
           tick_probe_->restart();
-          const double bound = config_.max_queue_delay.to_seconds();
+          const double bound =
+              config_.overload.max_queue_delay.to_seconds();
           policy_->observed_backlog_fraction =
               bound > 0.0 ? cpu_.backlog().to_seconds() / bound : 0.0;
           const obs::Sinks& obs = sim_.obs();
@@ -101,10 +101,10 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
   }
   overload_ = overload::make_overload_policy(config_.overload,
                                              routes_.paths().size());
-  if (overload_ != nullptr) {
+  if (overload_->control_period() > SimTime{}) {
     overload_probe_ = std::make_unique<sim::UtilizationProbe>(cpu_, sim_);
     overload_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim_, config_.overload.control_period, [this] { overload_tick(); });
+        sim_, overload_->control_period(), [this] { overload_tick(); });
     overload_timer_->start();
   }
   network_.attach(config_.address,
@@ -145,8 +145,8 @@ void ProxyServer::on_datagram(Address from, const sip::MessagePtr& msg) {
       // hear recovery signals).
       const CostVector cost = CpuCostModel::receive_only();
       charge(cost);
-      cpu_.submit_urgent(cost.total(),
-                         [this, from, msg] { handle_control(from, *msg); });
+      cpu_.submit(cost.total(),
+                  [this, from, msg] { handle_control(from, *msg); });
       return;
     }
     admit_request(from, msg);
@@ -169,7 +169,7 @@ void ProxyServer::admit_request(Address from, const sip::MessagePtr& msg) {
     const CostVector cost = CpuCostModel::absorb_retransmit();
     charge(cost);
     ++stats_.absorbed_retransmits;
-    cpu_.submit_urgent(cost.total(), [this, msg] {
+    cpu_.submit(cost.total(), [this, msg] {
       if (auto* txn = txns_.find_server(*msg)) {
         txn->receive_request(msg);
       }
@@ -277,40 +277,10 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
     // a whole established call (overload control sheds *new* work first).
     charge(cost);
     ++stats_.forwarded_stateless;
-    cpu_.submit_urgent(cost.total(), [this, fwd_ptr, target] {
+    cpu_.submit(cost.total(), [this, fwd_ptr, target] {
       execute_stateless_forward(fwd_ptr, target);
     });
     return;
-  }
-
-  // --- Overload control ---------------------------------------------------
-  // The admission gate sheds session-INITIATING work only, before the state
-  // decision (a shed INVITE must not pollute the delegation controller's
-  // per-path counters).
-  if (overload_ != nullptr && msg->method() == sip::Method::kInvite) {
-    const overload::AdmitDecision verdict =
-        overload_->admit(path_index, sim_.now());
-    if (verdict != overload::AdmitDecision::kAdmit) {
-      if (verdict == overload::AdmitDecision::kRejectLocal) {
-        ++stats_.rejected_503;
-      } else {
-        ++stats_.throttled_503;
-      }
-      if (const obs::Sinks& obs = sim_.obs(); obs.any()) {
-        rejected_503_counter_.inc(obs.metrics);
-        if (obs.tracer != nullptr) {
-          obs.tracer->instant(
-              "overload_503", "overload", sim_.now(),
-              config_.address.value(), "throttled",
-              verdict == overload::AdmitDecision::kRejectThrottled ? 1.0
-                                                                   : 0.0);
-        }
-      }
-      respond_overload_503(
-          *msg, from,
-          verdict == overload::AdmitDecision::kRejectLocal);
-      return;
-    }
   }
 
   RequestContext ctx;
@@ -351,6 +321,23 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
     respond_urgent(*msg, code, from);
     return;
   }
+
+  // --- Admission ----------------------------------------------------------
+  // The one admission gate. It sheds session-INITIATING work only: a
+  // refused INVITE costs one failed setup, while shedding an in-dialog BYE
+  // would waste an entire established call's worth of completed work. It
+  // sits after decide(), so a refused INVITE still counts as offered load
+  // in the delegation controller (a saturated exit must see its demand to
+  // freeze and signal X-Overload), and before the stateful block, so a
+  // refused INVITE leaves no early dialog and burns no branch.
+  if (msg->method() == sip::Method::kInvite) {
+    const overload::AdmitDecision verdict =
+        overload_->admit(path_index, sim_.now(), cpu_.backlog());
+    if (verdict != overload::AdmitDecision::kAdmit) {
+      refuse(*msg, from, verdict);
+      return;
+    }
+  }
   if (stateful && msg->method() == sip::Method::kInvite) {
     cost += CpuCostModel::generate_100(config_.stateful_mode);
   }
@@ -378,29 +365,13 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
   }
 
   auto fwd_ptr = std::move(fwd).finish();
-  auto action = [this, from, msg, fwd_ptr, target, stateful] {
+  cpu_.submit(cost.total(), [this, from, msg, fwd_ptr, target, stateful] {
     if (stateful) {
       execute_stateful_forward(from, msg, fwd_ptr, target);
     } else {
       execute_stateless_forward(fwd_ptr, target);
     }
-  };
-  // Overload control sheds session-INITIATING work only: a rejected INVITE
-  // costs one failed setup, while shedding an in-dialog BYE would waste an
-  // entire established call's worth of completed work. With an overload
-  // policy installed the occupancy gate above has already made the shedding
-  // decision and replaces the raw queue-delay bound (which only reacts once
-  // the backlog — and thus the damage — has fully built up).
-  if (msg->method() == sip::Method::kInvite && overload_ == nullptr) {
-    if (!cpu_.submit(cost.total(), std::move(action))) {
-      ++stats_.rejected_busy;
-      rejected_busy_counter_.inc(sim_.obs().metrics);
-      respond_urgent(*msg, sip::status::kServerError, from);
-      return;
-    }
-  } else {
-    cpu_.submit_urgent(cost.total(), std::move(action));
-  }
+  });
   charge(cost);
   if (stateful) {
     ++stats_.forwarded_stateful;
@@ -511,14 +482,16 @@ void ProxyServer::admit_response(Address from, const sip::MessagePtr& msg) {
   // neighbor stamps its permitted rate as `oc` on *our* Via before sending
   // the response up, so the param is read here — off our own top Via, keyed
   // by the path the sender terminates.
-  if (overload_ != nullptr && !msg->vias().empty() &&
-      msg->top_via().sent_by == host_) {
+  // Only a response carrying a signal pays for the path lookup.
+  if (!msg->vias().empty() && msg->top_via().sent_by == host_ &&
+      (msg->top_via().oc_rate >= 0.0 ||
+       msg->status_code() == sip::status::kServiceUnavailable)) {
     if (const auto path = routes_.path_of(from)) {
       if (msg->top_via().oc_rate >= 0.0) {
         ++stats_.oc_advertisements;
         overload_->on_rate_advertisement(*path, msg->top_via().oc_rate,
                                          sim_.now());
-      } else if (msg->status_code() == sip::status::kServiceUnavailable) {
+      } else {
         // A bare 503 from a hop that advertises no rate (e.g. a legacy
         // neighbor) is still an overload hint. With an advert present the
         // rate update above already carries the signal — no double penalty.
@@ -536,7 +509,7 @@ void ProxyServer::admit_response(Address from, const sip::MessagePtr& msg) {
   const CostVector cost = CpuCostModel::forward(mode, profile::classify(*msg));
 
   charge(cost);
-  cpu_.submit_urgent(cost.total(), [this, msg] {
+  cpu_.submit(cost.total(), [this, msg] {
     if (auto* client = txns_.find_client(*msg)) {
       client->receive_response(msg);
       return;
@@ -587,8 +560,39 @@ void ProxyServer::respond_urgent(const sip::Message& req, int code,
   sip::Message response = sip::Message::response(req, code);
   stamp_oc(response);
   auto ptr = std::move(response).finish();
-  cpu_.submit_urgent(cost.total(),
-                     [this, ptr, to] { send_charged(to, ptr); });
+  cpu_.submit(cost.total(), [this, ptr, to] { send_charged(to, ptr); });
+}
+
+void ProxyServer::refuse(const sip::Message& req, Address from,
+                         overload::AdmitDecision verdict) {
+  const obs::Sinks& obs = sim_.obs();
+  if (verdict == overload::AdmitDecision::kRejectBusy) {
+    ++stats_.rejected_busy;
+    cpu_.record_rejection();
+    if (obs.tracer != nullptr) {
+      obs.tracer->instant("cpu_reject", "cpu", sim_.now(),
+                          config_.address.value(), "backlog_ms",
+                          cpu_.backlog().to_millis());
+    }
+    rejected_busy_counter_.inc(obs.metrics);
+    respond_urgent(req, sip::status::kServerError, from);
+    return;
+  }
+  const bool local = verdict == overload::AdmitDecision::kRejectLocal;
+  if (local) {
+    ++stats_.rejected_503;
+  } else {
+    ++stats_.throttled_503;
+  }
+  if (obs.any()) {
+    rejected_503_counter_.inc(obs.metrics);
+    if (obs.tracer != nullptr) {
+      obs.tracer->instant("overload_503", "overload", sim_.now(),
+                          config_.address.value(), "throttled",
+                          local ? 0.0 : 1.0);
+    }
+  }
+  respond_overload_503(req, from, local);
 }
 
 void ProxyServer::respond_overload_503(const sip::Message& req, Address to,
@@ -612,12 +616,11 @@ void ProxyServer::respond_overload_503(const sip::Message& req, Address to,
   }
   stamp_oc(response);
   auto ptr = std::move(response).finish();
-  cpu_.submit_urgent(cost.total(),
-                     [this, ptr, to] { send_charged(to, ptr); });
+  cpu_.submit(cost.total(), [this, ptr, to] { send_charged(to, ptr); });
 }
 
 void ProxyServer::stamp_oc(sip::Message& response) const {
-  if (overload_ == nullptr || response.vias().empty()) return;
+  if (response.vias().empty()) return;
   const double rate = overload_->advertised_rate();
   if (rate >= 0.0) response.top_via().oc_rate = rate;
 }
@@ -660,7 +663,7 @@ void ProxyServer::handle_cancel(Address from, const sip::MessagePtr& msg) {
   const CostVector cost =
       CpuCostModel::forward(config_.stateless_mode, MsgKind::kOther);
   charge(cost);
-  cpu_.submit_urgent(cost.total(), [this, from, msg] {
+  cpu_.submit(cost.total(), [this, from, msg] {
     if (auto* existing = txns_.find_server(*msg)) {
       existing->receive_request(msg);
       return;
@@ -745,7 +748,7 @@ void ProxyServer::handle_register(Address from, const sip::MessagePtr& msg) {
   const CostVector cost =
       CpuCostModel::forward(config_.stateless_mode, MsgKind::kOther);
   charge(cost);
-  cpu_.submit_urgent(cost.total(), [this, from, msg] {
+  cpu_.submit(cost.total(), [this, from, msg] {
     if (auto* existing = txns_.find_server(*msg)) {
       existing->receive_request(msg);
       return;
@@ -837,7 +840,7 @@ void ProxyServer::send_overload_signal(bool on, double c_asf_rate) {
     }
     auto msg = make_overload_options(kOverloadHeader, value);
     // Control sends bypass admission: signalling must survive saturation.
-    cpu_.submit_urgent(CpuCostModel::generate_error().total(), nullptr);
+    cpu_.submit(CpuCostModel::generate_error().total(), nullptr);
     send_charged(upstream, msg);
     ++stats_.overload_signals_sent;
   }
@@ -848,7 +851,7 @@ void ProxyServer::send_overload_status(Address to) {
   std::snprintf(value, sizeof(value), "%s;rate=%.3f",
                 last_overload_on_ ? "on" : "off", last_overload_rate_);
   auto msg = make_overload_options(kOverloadHeader, value);
-  cpu_.submit_urgent(CpuCostModel::generate_error().total(), nullptr);
+  cpu_.submit(CpuCostModel::generate_error().total(), nullptr);
   send_charged(to, msg);
   ++stats_.overload_signals_sent;
 }
@@ -863,7 +866,7 @@ void ProxyServer::send_overload_probe(std::size_t path_index) {
                         static_cast<double>(path_index));
   }
   auto msg = make_overload_options(kOverloadProbeHeader, "request");
-  cpu_.submit_urgent(CpuCostModel::generate_error().total(), nullptr);
+  cpu_.submit(CpuCostModel::generate_error().total(), nullptr);
   send_charged(path.next_hop, msg);
   ++stats_.overload_probes_sent;
 }
@@ -888,7 +891,7 @@ std::optional<ProxyServer::LocalTarget> ProxyServer::resolve_local_target(
 void ProxyServer::send_charged(Address to, const sip::MessagePtr& msg) {
   const CostVector cost = CpuCostModel::transport_send();
   charge(cost);
-  cpu_.submit_urgent(cost.total(), nullptr);
+  cpu_.submit(cost.total(), nullptr);
   tx_counter_.inc(sim_.obs().metrics);
   network_.send(config_.address, to, msg);
 }

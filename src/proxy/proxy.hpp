@@ -10,9 +10,13 @@
 // SERvartuka controller (src/core) implements the paper's algorithm.
 //
 // CPU is modelled explicitly: every message charges the calibrated cost
-// model and is serviced through a bounded FIFO CpuQueue; when the backlog
-// bound is exceeded requests are rejected with 500 Server Busy, exactly the
-// saturation signature the paper reports.
+// model and is serviced through a FIFO CpuQueue, which only models service
+// time. Admission is decided in one place: each new INVITE passes one
+// overload::OverloadPolicy::admit call, after the state decision and the
+// auth check. The default policy (ControlKind::kNone) refuses with 500
+// Server Busy once the CPU backlog exceeds its queue-delay bound, exactly
+// the saturation signature the paper reports; the overload controls refuse
+// earlier, with 503.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +68,6 @@ struct ProxyConfig {
   std::string host;
   Address address;
   double cpu_capacity = profile::CpuCostModel::kCalibratedCapacity;
-  SimTime max_queue_delay = SimTime::millis(1500);
   /// Mode used when a request is handled statefully.
   profile::HandlingMode stateful_mode =
       profile::HandlingMode::kTransactionStateful;
@@ -89,9 +92,10 @@ struct ProxyConfig {
   /// (fault-ablation knob; probes and probe replies are never dropped here
   /// so they stay available as the repair channel).
   double overload_signal_loss = 0.0;
-  /// Overload-control subsystem (src/overload). kNone keeps the legacy
-  /// queue-delay bound + 500; the other kinds replace it with 503-based
-  /// admission (local occupancy gate, optionally hop-by-hop rate feedback).
+  /// Admission policy (src/overload). kNone refuses new INVITEs with 500
+  /// past `overload.max_queue_delay` of CPU backlog; the other kinds shed
+  /// earlier with 503 (local occupancy gate, optionally hop-by-hop rate
+  /// feedback).
   overload::OverloadConfig overload;
   /// Early (unconfirmed) dialogs older than this are expired by a periodic
   /// sweep — they belong to calls that will never complete (lost finals,
@@ -159,9 +163,10 @@ class ProxyServer {
   [[nodiscard]] const sim::CpuQueue& cpu() const { return cpu_; }
   [[nodiscard]] sim::CpuQueue& cpu() { return cpu_; }
   [[nodiscard]] StatePolicy& policy() { return *policy_; }
-  /// Overload-control policy; null when ControlKind::kNone.
-  [[nodiscard]] const overload::OverloadPolicy* overload_policy() const {
-    return overload_.get();
+  /// The admission policy (never null; ControlKind::kNone is the queue
+  /// bound).
+  [[nodiscard]] const overload::OverloadPolicy& overload_policy() const {
+    return *overload_;
   }
   [[nodiscard]] DigestAuthenticator& authenticator() { return auth_; }
   [[nodiscard]] const ProxyConfig& config() const { return config_; }
@@ -206,9 +211,14 @@ class ProxyServer {
                                 sip::MessagePtr fwd, Address target);
   void execute_stateless_forward(sip::MessagePtr msg, Address target);
 
-  /// Builds and sends a locally generated response, bypassing admission
-  /// (servers answer 500 even when saturated).
+  /// Builds and sends a locally generated response. Never shed: servers
+  /// answer 500 even when saturated.
   void respond_urgent(const sip::Message& req, int code, Address to);
+
+  /// Answers an INVITE the admission gate refused: 500 for the queue bound,
+  /// 503 for the overload controls, with the matching stats and trace.
+  void refuse(const sip::Message& req, Address from,
+              overload::AdmitDecision verdict);
 
   /// Overload rejection: 503 (+ oc feedback when advertising). Retry-After
   /// goes only on local-gate rejections; throttled ones are already
@@ -218,7 +228,7 @@ class ProxyServer {
 
   /// Stamps this node's advertised rate as an `oc` param on the top Via of
   /// an outgoing response (the upstream neighbor's Via — it reads the param
-  /// off its own Via on receipt). No-op when no policy or no restriction.
+  /// off its own Via on receipt). No-op when there is no restriction.
   void stamp_oc(sip::Message& response) const;
 
   /// Overload control tick: occupancy sample -> policy, audit, trace.
@@ -269,7 +279,8 @@ class ProxyServer {
   sip::BranchGenerator branches_;
   std::unique_ptr<sim::PeriodicTimer> policy_timer_;
   std::unique_ptr<sim::UtilizationProbe> tick_probe_;
-  /// Overload-control subsystem (null when ControlKind::kNone).
+  /// The admission policy; the probe and timer are armed only for
+  /// policies with a control period.
   std::unique_ptr<overload::OverloadPolicy> overload_;
   std::unique_ptr<sim::UtilizationProbe> overload_probe_;
   std::unique_ptr<sim::PeriodicTimer> overload_timer_;

@@ -9,36 +9,17 @@
 
 namespace svk::sim {
 
-CpuQueue::CpuQueue(Simulator& sim, CpuQueueConfig config)
-    : sim_(sim), config_(config) {
-  assert(config_.capacity > 0.0);
+CpuQueue::CpuQueue(Simulator& sim, double capacity)
+    : sim_(sim), capacity_(capacity) {
+  assert(capacity_ > 0.0);
 }
 
-bool CpuQueue::submit(double cost, Completion done) {
-  if (backlog() > config_.max_queue_delay) {
-    ++stats_.rejected;
-    const obs::Sinks& obs = sim_.obs();
-    if (obs.tracer != nullptr) {
-      obs.tracer->instant("cpu_reject", "cpu", sim_.now(), trace_tid_,
-                          "backlog_ms", backlog().to_millis());
-    }
-    rejected_counter_.inc(obs.metrics);
-    return false;
-  }
-  enqueue(cost, std::move(done));
-  return true;
-}
-
-void CpuQueue::submit_urgent(double cost, Completion done) {
-  enqueue(cost, std::move(done));
-}
-
-void CpuQueue::enqueue(double cost, Completion done) {
+void CpuQueue::submit(double cost, Completion done) {
   assert(cost >= 0.0);
   ++stats_.admitted;
   stats_.total_cost += cost;
   const SimTime service =
-      SimTime::seconds(cost / (config_.capacity * capacity_factor_));
+      SimTime::seconds(cost / (capacity_ * capacity_factor_));
   const SimTime start = std::max(busy_until_, sim_.now());
   busy_until_ = start + service;
   total_service_ += service;

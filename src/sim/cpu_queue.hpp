@@ -2,10 +2,10 @@
 //
 // Each server node owns a CpuQueue: a non-idling FIFO work queue with a
 // fixed processing capacity (abstract "CPU events" per second, matching the
-// oprofile unit of Figure 3). Work is admitted unless the backlog already
-// exceeds a configured queueing-delay bound, which is how the paper's
-// OpenSER behaves at saturation (rejecting with 500 Server Busy when its
-// internal queues fill).
+// oprofile unit of Figure 3). It models service time only: every submitted
+// unit of work is queued and served. Whether a request is worth serving is
+// decided before it reaches the queue, by the proxy's one admission gate
+// (overload::OverloadPolicy), which reads backlog().
 #pragma once
 
 #include <cstdint>
@@ -17,35 +17,30 @@
 
 namespace svk::sim {
 
-struct CpuQueueConfig {
-  /// Processing capacity in cost units per second.
-  double capacity = 1.0;
-  /// Admission bound: work is rejected when the current backlog implies a
-  /// queueing delay beyond this.
-  SimTime max_queue_delay = SimTime::millis(1500);
-};
-
 struct CpuStats {
   std::uint64_t admitted = 0;
+  /// Requests the owning proxy refused with 500 at its admission gate
+  /// (see record_rejection).
   std::uint64_t rejected = 0;
   double total_cost = 0.0;  // admitted cost units
 };
 
-/// FIFO CPU with admission control and utilization accounting.
+/// FIFO CPU with utilization accounting.
 class CpuQueue {
  public:
   using Completion = std::function<void()>;
 
-  CpuQueue(Simulator& sim, CpuQueueConfig config);
+  /// `capacity` is the processing capacity in cost units per second.
+  CpuQueue(Simulator& sim, double capacity);
 
-  /// Tries to admit `cost` units of work; on completion (after queueing +
-  /// service time) runs `done`. Returns false (and runs nothing) when the
-  /// backlog bound is exceeded.
-  [[nodiscard]] bool submit(double cost, Completion done);
+  /// Queues `cost` units of work; on completion (after queueing + service
+  /// time) runs `done`, if set.
+  void submit(double cost, Completion done);
 
-  /// Admits work unconditionally (used for cheap overload responses such as
-  /// generating a 500, which a real server performs even when saturated).
-  void submit_urgent(double cost, Completion done);
+  /// Counts one request refused with 500 into stats().rejected. Only
+  /// benchmark readers still take the count from here; the proxy's own
+  /// ProxyStats::rejected_busy holds the same number.
+  void record_rejection() { ++stats_.rejected; }
 
   /// Backlog ahead of newly submitted work, as a delay.
   [[nodiscard]] SimTime backlog() const;
@@ -56,16 +51,16 @@ class CpuQueue {
   [[nodiscard]] SimTime busy_elapsed(SimTime now) const;
 
   [[nodiscard]] const CpuStats& stats() const { return stats_; }
-  [[nodiscard]] double capacity() const { return config_.capacity; }
+  [[nodiscard]] double capacity() const { return capacity_; }
 
   /// Fault injection: scales the effective capacity (1.0 = nominal, 0.5 =
   /// half speed). The unserved backlog is rescaled to the new speed at the
   /// change instant, so a degrade (or recovery) immediately stretches (or
-  /// shrinks) the queueing delay admission and utilization see — not just
-  /// the service time of work submitted afterwards. Completion callbacks
-  /// already in the event queue keep their original fire times (the model
-  /// treats queued jobs as dispatched); the backlog clock is what admission,
-  /// backlog() and busy_elapsed() read.
+  /// shrinks) the queueing delay the admission gate and utilization see —
+  /// not just the service time of work submitted afterwards. Completion
+  /// callbacks already in the event queue keep their original fire times
+  /// (the model treats queued jobs as dispatched); the backlog clock is
+  /// what backlog() and busy_elapsed() read.
   void set_capacity_factor(double factor);
   [[nodiscard]] double capacity_factor() const { return capacity_factor_; }
 
@@ -74,18 +69,15 @@ class CpuQueue {
   void set_trace_tid(std::uint32_t tid) { trace_tid_ = tid; }
 
  private:
-  void enqueue(double cost, Completion done);
-
   Simulator& sim_;
-  CpuQueueConfig config_;
+  double capacity_;
   double capacity_factor_{1.0};  // fault-injected degradation multiplier
   SimTime busy_until_;        // when the last admitted work completes
   SimTime total_service_;     // sum of all admitted service times
   CpuStats stats_;
   std::uint32_t trace_tid_{0};
-  // Pre-resolved instruments: enqueue runs once per message per node.
+  // Pre-resolved instrument: submit runs once per message per node.
   obs::CounterHandle admitted_counter_{"cpu.admitted"};
-  obs::CounterHandle rejected_counter_{"cpu.rejected"};
 };
 
 /// Measures mean CPU utilization over an interval by snapshotting

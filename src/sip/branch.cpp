@@ -70,9 +70,4 @@ TxnProbe key_for_response(const Message& resp) {
                   via.sent_by, method};
 }
 
-TxnProbe key_probe(const TransactionKey& key) {
-  return TxnProbe{txn_key_hash(key.branch, key.sent_by, key.method),
-                  key.branch, key.sent_by, key.method};
-}
-
 }  // namespace svk::sip

@@ -82,10 +82,6 @@ struct TxnProbe {
 /// Precondition: resp has at least one Via.
 [[nodiscard]] TxnProbe key_for_response(const Message& resp);
 
-/// Probe over an owning key (for the key-based find overloads kept for
-/// callers that store a TransactionKey).
-[[nodiscard]] TxnProbe key_probe(const TransactionKey& key);
-
 /// Key a *server* transaction uses to match an incoming request
 /// (RFC 3261 17.2.3): top Via branch + sent-by + method, with ACK matching
 /// the INVITE transaction. CANCEL matches its own transaction (the CANCEL

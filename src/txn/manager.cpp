@@ -142,16 +142,6 @@ ClientTransaction* TransactionManager::find_client(const sip::Message& msg) {
   return find_client(sip::key_for_response(msg));
 }
 
-ServerTransaction* TransactionManager::find_server(
-    const sip::TransactionKey& key) {
-  return find_server(sip::key_probe(key));
-}
-
-ClientTransaction* TransactionManager::find_client(
-    const sip::TransactionKey& key) {
-  return find_client(sip::key_probe(key));
-}
-
 sip::TxnProbe TransactionManager::request_probe(const sip::MessagePtr& msg) {
   if (probe_anchor_ == msg) return cached_probe_;
   return sip::key_for_request(*msg);

@@ -75,8 +75,6 @@ class TransactionManager {
   /// Looks up the server transaction that would match `msg`, if any.
   [[nodiscard]] ServerTransaction* find_server(const sip::Message& msg);
   [[nodiscard]] ClientTransaction* find_client(const sip::Message& msg);
-  [[nodiscard]] ServerTransaction* find_server(const sip::TransactionKey& key);
-  [[nodiscard]] ClientTransaction* find_client(const sip::TransactionKey& key);
   /// O(1) handle resolution (generation-checked; null when gone).
   [[nodiscard]] ServerTransaction* find_server(TxnHandle handle) {
     return server_slab_.get(handle.slot);

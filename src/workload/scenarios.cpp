@@ -59,16 +59,15 @@ proxy::ProxyConfig proxy_config(const ScenarioOptions& options,
   config.host = host;
   config.cpu_capacity =
       profile::CpuCostModel::kCalibratedCapacity * capacity_scale(options, idx);
-  // Bounded queueing delay: OpenSER answers 500 once its queues fill, which
-  // is what keeps the paper's stateful response times under ~200 ms. The
-  // bound must keep the worst-case UAC->UAS->UAC round trip (4 queue
-  // traversals) under SIP T1 (500 ms), or retransmission storms pin a
-  // saturated queue at its cap.
-  config.max_queue_delay = options.max_queue_delay;
   config.stateful_mode = options.stateful_mode;
   config.stateless_mode = options.stateless_mode;
   config.authenticate = authenticate;
   config.overload_signal_loss = options.overload_signal_loss;
+  // Bounded queueing delay (overload_control.max_queue_delay): OpenSER
+  // answers 500 once its queues fill, which is what keeps the paper's
+  // stateful response times under ~200 ms. The bound must keep the
+  // worst-case UAC->UAS->UAC round trip (4 queue traversals) under SIP T1
+  // (500 ms), or retransmission storms pin a saturated queue at its cap.
   config.overload = options.overload_control;
   config.dialog_ttl = options.dialog_ttl;
   config.debug_predecrement_max_forwards =

@@ -57,14 +57,11 @@ struct ScenarioOptions {
   /// the paper's distribute-authentication extension.
   bool distribute_auth = false;
 
-  /// Per-proxy CPU queueing-delay bound before 500 Server Busy (overload
-  /// control); see scenarios.cpp for why the default must keep round trips
-  /// under SIP T1.
-  SimTime max_queue_delay = SimTime::millis(100);
-
-  /// Overload-control subsystem (src/overload), applied to every proxy.
-  /// kNone keeps the legacy queue-bound + 500 behavior.
-  overload::OverloadConfig overload_control;
+  /// Admission policy (src/overload), applied to every proxy. The default
+  /// kNone refuses with 500 past a 100 ms CPU queueing delay; see
+  /// scenarios.cpp for why that bound must keep round trips under SIP T1.
+  overload::OverloadConfig overload_control{.max_queue_delay =
+                                                SimTime::millis(100)};
 
   /// Optional hook to adjust the SERvartuka controller configuration
   /// (ablations: disable smoothing, feedback, change headroom, ...).

@@ -13,7 +13,9 @@
 //                    Max-Forwards 2 still completes (the last hop forwards
 //                    it carrying 0);
 //   * dialog drain — dialog-stateful proxies hold zero dialogs after load
-//                    stops and SIP timers drain.
+//                    stops and SIP timers drain, also when INVITEs are
+//                    refused with 500 at the queue bound;
+//   * overload     — the 503 paths of both overload controls run clean.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -37,10 +39,11 @@ ScenarioOptions scaled(PolicyKind policy) {
 
 /// Runs a factory-built bed under load, stops, drains every SIP timer
 /// (client D / server H and J linger 32 s), finishes the checker and
-/// asserts it saw real traffic and recorded nothing.
-void expect_clean_checked_run(const BedFactory& factory, double offered,
-                              double load_seconds,
-                              check::CheckOptions check_options = {}) {
+/// asserts it saw real traffic and recorded nothing. Returns the drained
+/// bed for further assertions.
+std::unique_ptr<TestBed> expect_clean_checked_run(
+    const BedFactory& factory, double offered, double load_seconds,
+    check::CheckOptions check_options = {}) {
   auto bed = factory(offered);
   check::RunChecker& checker = bed->enable_checking(check_options);
   bed->start_load();
@@ -52,6 +55,7 @@ void expect_clean_checked_run(const BedFactory& factory, double offered,
   EXPECT_GT(checker.oracle().events_checked(), 0u);
   EXPECT_GT(checker.wire().datagrams_seen(), 0u);
   EXPECT_TRUE(checker.log().empty()) << checker.log().summary();
+  return bed;
 }
 
 // ---------------------------------------------------------------------------
@@ -108,6 +112,53 @@ TEST(ConformanceTest, DialogStatefulChainDrainsToZeroDialogs) {
     EXPECT_GT(proxy->dialogs().created_count() +
                   proxy->stats().forwarded_stateless,
               0u);
+  }
+}
+
+TEST(ConformanceTest, DialogStatefulChainUnderOverloadDrainsToZeroDialogs) {
+  // Past saturation the queue bound refuses INVITEs with 500 before any
+  // early dialog exists; none may be left behind once the run drains.
+  auto options = scaled(PolicyKind::kStaticAllStateful);
+  options.stateful_mode = profile::HandlingMode::kDialogStateful;
+  check::CheckOptions check_options;
+  check_options.expect_single_stateful = false;  // all-stateful by design
+  const auto bed = expect_clean_checked_run(series_chain(2, options), 130.0,
+                                            6.0, check_options);
+  std::uint64_t refused = 0;
+  for (const auto& proxy : bed->proxies()) {
+    EXPECT_EQ(proxy->dialogs().active_count(), 0u) << proxy->config().host;
+    refused += proxy->stats().rejected_busy;
+  }
+  EXPECT_GT(refused, 0u);
+}
+
+TEST(ConformanceTest, OverloadPoliciesAreClean) {
+  // The half-capacity-exit chain past its knee, under each 503 control:
+  // local-gate and throttled 503s, Retry-After pauses and oc adverts all
+  // flow past the oracle and must stay RFC-clean.
+  for (const overload::ControlKind kind :
+       {overload::ControlKind::kLocalOccupancy,
+        overload::ControlKind::kHopByHopRate}) {
+    for (const PolicyKind policy :
+         {PolicyKind::kStaticAllStateful, PolicyKind::kServartuka}) {
+      SCOPED_TRACE(std::string(overload::to_string(kind)) +
+                   (policy == PolicyKind::kServartuka ? "/servartuka"
+                                                      : "/static"));
+      auto options = scaled(policy);
+      options.capacity_scale = {0.02, 0.01};
+      options.overload_control.kind = kind;
+      options.overload_control.max_queue_delay = SimTime::millis(800);
+      check::CheckOptions check_options;
+      check_options.expect_single_stateful =
+          policy == PolicyKind::kServartuka;
+      const auto bed = expect_clean_checked_run(series_chain(2, options),
+                                                145.0, 8.0, check_options);
+      std::uint64_t sent_503 = 0;
+      for (const auto& proxy : bed->proxies()) {
+        sent_503 += proxy->stats().rejected_503 + proxy->stats().throttled_503;
+      }
+      EXPECT_GT(sent_503, 0u);
+    }
   }
 }
 

@@ -1,14 +1,17 @@
-// Overload-control subsystem tests (src/overload): the local occupancy
-// gate, the RFC 7339-style hop-by-hop token-bucket throttler, and the two
-// controls running end to end inside a proxy chain. Everything here must
-// be bit-deterministic — the policies use no wall clock and no RNG.
+// Admission-policy tests (src/overload): the queue-delay bound (kNone), the
+// local occupancy gate, the RFC 7339-style hop-by-hop token-bucket
+// throttler, and all three running end to end inside a proxy chain.
+// Everything here must be bit-deterministic — the policies use no wall
+// clock and no RNG.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "overload/overload.hpp"
+#include "sim/cpu_queue.hpp"
 #include "workload/runner.hpp"
 #include "workload/scenarios.hpp"
 
@@ -16,6 +19,9 @@ namespace svk::overload {
 namespace {
 
 SimTime at(double seconds) { return SimTime::seconds(seconds); }
+
+/// CPU backlog for admit() calls whose policy does not read it.
+constexpr SimTime kIdle{};
 
 OverloadConfig local_config() {
   OverloadConfig config;
@@ -31,18 +37,47 @@ OverloadConfig hop_config() {
 }
 
 // ---------------------------------------------------------------------------
-// Local occupancy gate
+// Queue-delay bound (kNone)
 // ---------------------------------------------------------------------------
 
-TEST(LocalOccupancyTest, NoneKindBuildsNoPolicy) {
-  EXPECT_EQ(make_overload_policy(OverloadConfig{}, 1), nullptr);
+TEST(QueueBoundTest, NoneKindBuildsQueueBound) {
+  auto policy = make_overload_policy(OverloadConfig{}, 1);
+  ASSERT_NE(policy, nullptr);
+  EXPECT_EQ(policy->name(), "none");
+  EXPECT_EQ(policy->control_period(), SimTime{});  // arms no control tick
+  EXPECT_LT(policy->advertised_rate(), 0.0);
 }
+
+TEST(QueueBoundTest, AdmitsAtBoundRefusesAbove) {
+  // The bound reads the real queue: admitted while the backlog ahead is at
+  // most the bound, refused (500) once it exceeds it.
+  sim::Simulator sim;
+  sim::CpuQueue cpu(sim, 1.0);
+  OverloadConfig config;
+  config.max_queue_delay = SimTime::seconds(2.0);
+  auto policy = make_overload_policy(config, 1);
+  for (int i = 0; i < 3; ++i) {  // backlog 0s, 1s, 2s == bound: admitted
+    EXPECT_EQ(policy->admit(0, sim.now(), cpu.backlog()),
+              AdmitDecision::kAdmit)
+        << "backlog " << cpu.backlog().to_seconds() << "s";
+    cpu.submit(1.0, nullptr);
+  }
+  EXPECT_EQ(policy->admit(0, sim.now(), cpu.backlog()),  // 3s > bound
+            AdmitDecision::kRejectBusy);
+  sim.run_until(SimTime::seconds(1.0));  // drained back to the bound
+  EXPECT_EQ(policy->admit(0, sim.now(), cpu.backlog()),
+            AdmitDecision::kAdmit);
+}
+
+// ---------------------------------------------------------------------------
+// Local occupancy gate
+// ---------------------------------------------------------------------------
 
 TEST(LocalOccupancyTest, AdmitsEverythingBelowTarget) {
   auto policy = make_overload_policy(local_config(), 1);
   policy->on_occupancy_sample(0.5, at(0.2));
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(policy->admit(0, at(0.3)), AdmitDecision::kAdmit);
+    EXPECT_EQ(policy->admit(0, at(0.3), kIdle), AdmitDecision::kAdmit);
   }
   EXPECT_EQ(policy->stats().local_rejects, 0u);
 }
@@ -54,7 +89,9 @@ TEST(LocalOccupancyTest, ShedsExactFractionAboveTarget) {
   policy->on_occupancy_sample(1.2, at(0.2));
   int rejects = 0;
   for (int i = 0; i < 100; ++i) {
-    if (policy->admit(0, at(0.3)) == AdmitDecision::kRejectLocal) ++rejects;
+    if (policy->admit(0, at(0.3), kIdle) == AdmitDecision::kRejectLocal) {
+      ++rejects;
+    }
   }
   EXPECT_EQ(rejects, 25);
   EXPECT_EQ(policy->stats().local_rejects, 25u);
@@ -86,16 +123,16 @@ TEST(HopByHopTest, BucketEnforcesAdvertisedRate) {
   auto policy = make_overload_policy(hop_config(), 1);
   // rate 10/s, bucket_depth_s 0.2 -> burst of 2 tokens.
   policy->on_rate_advertisement(0, 10.0, at(1.0));
-  EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kAdmit);
-  EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kAdmit);
-  EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kRejectThrottled);
+  EXPECT_EQ(policy->admit(0, at(1.0), kIdle), AdmitDecision::kAdmit);
+  EXPECT_EQ(policy->admit(0, at(1.0), kIdle), AdmitDecision::kAdmit);
+  EXPECT_EQ(policy->admit(0, at(1.0), kIdle), AdmitDecision::kRejectThrottled);
   EXPECT_EQ(policy->stats().throttled_rejects, 1u);
 
   // 0.5s later the lazy refill has accrued 5 tokens, capped at depth 2.
   policy->on_rate_advertisement(0, 10.0, at(1.5));  // refresh, same rate
-  EXPECT_EQ(policy->admit(0, at(1.5)), AdmitDecision::kAdmit);
-  EXPECT_EQ(policy->admit(0, at(1.5)), AdmitDecision::kAdmit);
-  EXPECT_EQ(policy->admit(0, at(1.5)), AdmitDecision::kRejectThrottled);
+  EXPECT_EQ(policy->admit(0, at(1.5), kIdle), AdmitDecision::kAdmit);
+  EXPECT_EQ(policy->admit(0, at(1.5), kIdle), AdmitDecision::kAdmit);
+  EXPECT_EQ(policy->admit(0, at(1.5), kIdle), AdmitDecision::kRejectThrottled);
 }
 
 TEST(HopByHopTest, AdvertExpiryLiftsThrottle) {
@@ -103,9 +140,10 @@ TEST(HopByHopTest, AdvertExpiryLiftsThrottle) {
   // the overloaded hop going quiet must never throttle a path forever.
   auto policy = make_overload_policy(hop_config(), 1);
   policy->on_rate_advertisement(0, 1.0, at(1.0));  // depth max(1, 0.2) = 1
-  EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kAdmit);
-  EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kRejectThrottled);
-  EXPECT_EQ(policy->admit(0, at(3.0)), AdmitDecision::kAdmit);  // expired
+  EXPECT_EQ(policy->admit(0, at(1.0), kIdle), AdmitDecision::kAdmit);
+  EXPECT_EQ(policy->admit(0, at(1.0), kIdle), AdmitDecision::kRejectThrottled);
+  EXPECT_EQ(policy->admit(0, at(3.0), kIdle),  // expired
+            AdmitDecision::kAdmit);
   EXPECT_EQ(policy->stats().throttled_rejects, 1u);
 }
 
@@ -113,7 +151,7 @@ TEST(HopByHopTest, UnadvertisedPathRunsUnrestricted) {
   auto policy = make_overload_policy(hop_config(), 2);
   policy->on_rate_advertisement(1, 1.0, at(1.0));
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kAdmit);
+    EXPECT_EQ(policy->admit(0, at(1.0), kIdle), AdmitDecision::kAdmit);
   }
 }
 
@@ -121,8 +159,8 @@ TEST(HopByHopTest, Downstream503TaxesActiveBucket) {
   auto policy = make_overload_policy(hop_config(), 1);
   policy->on_rate_advertisement(0, 10.0, at(1.0));  // 2 tokens
   policy->on_downstream_503(0, at(1.0));            // -> 1 token
-  EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kAdmit);
-  EXPECT_EQ(policy->admit(0, at(1.0)), AdmitDecision::kRejectThrottled);
+  EXPECT_EQ(policy->admit(0, at(1.0), kIdle), AdmitDecision::kAdmit);
+  EXPECT_EQ(policy->admit(0, at(1.0), kIdle), AdmitDecision::kRejectThrottled);
   EXPECT_EQ(policy->stats().downstream_503, 1u);
 }
 
@@ -133,7 +171,7 @@ TEST(HopByHopTest, RestrictorEntersAndLeavesControlledMode) {
 
   // 100 arrivals in the period (500/s offered), then an overload sample:
   // advertise offered * target / occupancy = 500 * 0.9 / 1.2 = 375.
-  for (int i = 0; i < 100; ++i) (void)policy->admit(0, at(0.1));
+  for (int i = 0; i < 100; ++i) (void)policy->admit(0, at(0.1), kIdle);
   policy->on_occupancy_sample(1.2, at(0.2));
   EXPECT_DOUBLE_EQ(policy->advertised_rate(), 375.0);
 
@@ -157,7 +195,7 @@ TEST(HopByHopTest, IdenticalCallSequencesGiveIdenticalDecisions) {
     policy->on_rate_advertisement(0, 25.0, at(1.0));
     policy->on_occupancy_sample(1.1, at(1.0));
     for (int i = 0; i < 200; ++i) {
-      out.push_back(policy->admit(0, at(1.0 + 0.001 * i)));
+      out.push_back(policy->admit(0, at(1.0 + 0.001 * i), kIdle));
     }
   }
   EXPECT_EQ(da, db);
@@ -185,12 +223,11 @@ ScenarioOptions bottleneck_chain(ControlKind kind) {
   options.policy = PolicyKind::kStaticAllStateful;
   options.capacity_scale = {0.02, 0.01};
   options.overload_control.kind = kind;
-  // Deep-buffer regime: with the legacy queue-delay bound this lax, an
+  // Deep-buffer regime: with kNone's queue-delay bound this lax, an
   // uncontrolled node absorbs ~1.6 round trips of backlog before shedding,
   // so retransmissions pile up and goodput collapses — the regime the
-  // overload controls exist for (kNone keeps this bound; the policies
-  // replace it).
-  options.max_queue_delay = SimTime::millis(800);
+  // overload controls exist for (only kNone reads the bound).
+  options.overload_control.max_queue_delay = SimTime::millis(800);
   return options;
 }
 
@@ -286,15 +323,42 @@ TEST(OverloadChainTest, RerunsAreBitIdentical) {
 }
 
 TEST(OverloadChainTest, NoControlMatchesLegacyBehavior) {
-  // kNone must leave the legacy path untouched: no 503s anywhere, the
-  // queue-delay bound still answers 500 Server Busy.
+  // kNone is the paper's server: no 503s anywhere, the queue-delay bound
+  // answers 500 Server Busy.
   const ChainRun run = run_chain(ControlKind::kNone, 160.0, 8.0);
+  std::uint64_t rejected_busy = 0;
   for (const auto& proxy : run.bed->proxies()) {
     EXPECT_EQ(proxy->stats().rejected_503, 0u);
     EXPECT_EQ(proxy->stats().throttled_503, 0u);
-    EXPECT_EQ(proxy->overload_policy(), nullptr);
+    EXPECT_EQ(proxy->overload_policy().name(), "none");
+    rejected_busy += proxy->stats().rejected_busy;
   }
   EXPECT_EQ(run.busy_503, 0u);
+  EXPECT_GT(rejected_busy, 0u);
+}
+
+TEST(OverloadTest, PoliciesMatchNoControlBelowKnee) {
+  // Below the knee no policy ever refuses, so the controls must be
+  // invisible: every RunRecord is bit-identical to no control's.
+  const auto digest = [](PolicyKind policy, ControlKind kind, double cps) {
+    ScenarioOptions options = bottleneck_chain(kind);
+    options.policy = policy;
+    RunRecord record = to_run_record(
+        measure_point(series_chain(2, options), cps, MeasureOptions{}), 1.0,
+        "below_knee");
+    record.wall_seconds = 0.0;  // host noise, not simulation output
+    return record.to_json().dump();
+  };
+  for (const PolicyKind policy :
+       {PolicyKind::kStaticAllStateful, PolicyKind::kServartuka}) {
+    for (const double cps : {60.0, 90.0}) {
+      const std::string none = digest(policy, ControlKind::kNone, cps);
+      EXPECT_EQ(digest(policy, ControlKind::kLocalOccupancy, cps), none)
+          << "local at " << cps << " cps";
+      EXPECT_EQ(digest(policy, ControlKind::kHopByHopRate, cps), none)
+          << "hop-by-hop at " << cps << " cps";
+    }
+  }
 }
 
 }  // namespace

@@ -267,7 +267,6 @@ struct ProxyFixtureOptions {
   bool stateful_policy = true;
   bool authenticate = false;
   double capacity = profile::CpuCostModel::kCalibratedCapacity;
-  SimTime max_queue_delay = SimTime::millis(200);
 };
 
 /// One proxy ("proxy0.test") delivering example.com locally to a scripted
@@ -284,7 +283,7 @@ class ProxyPipelineTest : public ::testing::Test {
     ProxyConfig config;
     config.host = "proxy0.test";
     config.cpu_capacity = options.capacity;
-    config.max_queue_delay = options.max_queue_delay;
+    config.overload.max_queue_delay = SimTime::millis(200);
     config.stateful_mode = options.stateful_mode;
     config.authenticate = options.authenticate;
     std::unique_ptr<StatePolicy> policy;
@@ -501,7 +500,7 @@ TEST_F(ProxyPipelineTest, AuthGoodCredentialsForwarded) {
 TEST_F(ProxyPipelineTest, SaturatedProxySends500) {
   // A proxy with ~1000 events/s capacity takes seconds per message; the
   // queue-delay bound trips immediately after the first few admissions.
-  build({.capacity = 1000.0, .max_queue_delay = SimTime::millis(200)});
+  build({.capacity = 1000.0});
   for (int i = 0; i < 10; ++i) {
     const std::string n = std::to_string(i);
     client->send(proxy->config().address,

@@ -509,20 +509,20 @@ TEST(NetworkFaultTest, EmptyOverlayReportsNoFaults) {
 
 TEST(CpuQueueTest, ServiceTimeIsCostOverCapacity) {
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{100.0, SimTime::seconds(10.0)});
+  CpuQueue cpu(sim, 100.0);
   SimTime done_at;
-  ASSERT_TRUE(cpu.submit(50.0, [&] { done_at = sim.now(); }));
+  cpu.submit(50.0, [&] { done_at = sim.now(); });
   sim.run();
   EXPECT_EQ(done_at, SimTime::millis(500));  // 50/100 = 0.5s
 }
 
 TEST(CpuQueueTest, CapacityFactorScalesServiceTime) {
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{100.0, SimTime::seconds(10.0)});
+  CpuQueue cpu(sim, 100.0);
   EXPECT_DOUBLE_EQ(cpu.capacity_factor(), 1.0);
   cpu.set_capacity_factor(0.5);  // degraded: half the nominal capacity
   SimTime slow_done;
-  ASSERT_TRUE(cpu.submit(50.0, [&] { slow_done = sim.now(); }));
+  cpu.submit(50.0, [&] { slow_done = sim.now(); });
   EXPECT_EQ(cpu.backlog(), SimTime::seconds(1.0));  // 50 / (100 * 0.5)
   sim.run();
   EXPECT_EQ(slow_done, SimTime::seconds(1.0));
@@ -530,33 +530,33 @@ TEST(CpuQueueTest, CapacityFactorScalesServiceTime) {
 
 TEST(CpuQueueTest, DegradeRescalesUnservedBacklog) {
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{1.0, SimTime::seconds(100.0)});
-  ASSERT_TRUE(cpu.submit(4.0, nullptr));  // 4s of work at nominal speed
-  sim.run_until(SimTime::seconds(1.0));   // 3s still unserved
-  cpu.set_capacity_factor(0.5);           // degrade: the remainder takes 6s
+  CpuQueue cpu(sim, 1.0);
+  cpu.submit(4.0, nullptr);              // 4s of work at nominal speed
+  sim.run_until(SimTime::seconds(1.0));  // 3s still unserved
+  cpu.set_capacity_factor(0.5);          // degrade: the remainder takes 6s
   EXPECT_EQ(cpu.backlog(), SimTime::seconds(6.0));
   // New work queues behind the stretched backlog at the degraded rate.
   SimTime done;
-  ASSERT_TRUE(cpu.submit(1.0, [&] { done = sim.now(); }));
+  cpu.submit(1.0, [&] { done = sim.now(); });
   sim.run();
   EXPECT_EQ(done, SimTime::seconds(9.0));  // 1 + 6 + 1/(1*0.5)
 }
 
 TEST(CpuQueueTest, RecoveryShrinksUnservedBacklog) {
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{1.0, SimTime::seconds(100.0)});
+  CpuQueue cpu(sim, 1.0);
   cpu.set_capacity_factor(0.5);
-  ASSERT_TRUE(cpu.submit(2.0, nullptr));  // 4s at half speed
-  sim.run_until(SimTime::seconds(2.0));   // 2s still unserved
-  cpu.set_capacity_factor(1.0);           // recover: the remainder takes 1s
+  cpu.submit(2.0, nullptr);              // 4s at half speed
+  sim.run_until(SimTime::seconds(2.0));  // 2s still unserved
+  cpu.set_capacity_factor(1.0);          // recover: the remainder takes 1s
   EXPECT_EQ(cpu.backlog(), SimTime::seconds(1.0));
 }
 
 TEST(CpuQueueTest, BusyElapsedContinuousAcrossRescale) {
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{1.0, SimTime::seconds(100.0)});
+  CpuQueue cpu(sim, 1.0);
   UtilizationProbe probe(cpu, sim);
-  ASSERT_TRUE(cpu.submit(10.0, nullptr));  // saturated well past the window
+  cpu.submit(10.0, nullptr);  // saturated well past the window
   sim.run_until(SimTime::seconds(1.0));
   const SimTime before = cpu.busy_elapsed(sim.now());
   cpu.set_capacity_factor(0.25);  // degrade mid-window
@@ -568,11 +568,10 @@ TEST(CpuQueueTest, BusyElapsedContinuousAcrossRescale) {
 
 TEST(CpuQueueTest, FifoBacklogAccumulates) {
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{1.0, SimTime::seconds(100.0)});
+  CpuQueue cpu(sim, 1.0);
   std::vector<double> completions;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(
-        cpu.submit(1.0, [&] { completions.push_back(sim.now().to_seconds()); }));
+    cpu.submit(1.0, [&] { completions.push_back(sim.now().to_seconds()); });
   }
   sim.run();
   ASSERT_EQ(completions.size(), 3u);
@@ -581,32 +580,24 @@ TEST(CpuQueueTest, FifoBacklogAccumulates) {
   EXPECT_DOUBLE_EQ(completions[2], 3.0);
 }
 
-TEST(CpuQueueTest, RejectsBeyondBacklogBound) {
+TEST(CpuQueueTest, SubmitNeverRefusesWork) {
+  // Admission is the proxy's call (overload::OverloadPolicy); the queue
+  // serves whatever it is given, however deep the backlog.
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{1.0, SimTime::seconds(2.0)});
-  EXPECT_TRUE(cpu.submit(1.0, nullptr));   // backlog 0 -> 1s
-  EXPECT_TRUE(cpu.submit(1.0, nullptr));   // backlog 1 -> 2s
-  EXPECT_TRUE(cpu.submit(1.0, nullptr));   // backlog 2s == bound -> admitted
-  EXPECT_FALSE(cpu.submit(1.0, nullptr));  // backlog 3s > bound -> rejected
-  EXPECT_EQ(cpu.stats().admitted, 3u);
-  EXPECT_EQ(cpu.stats().rejected, 1u);
-}
-
-TEST(CpuQueueTest, UrgentBypassesAdmission) {
-  Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{1.0, SimTime::seconds(0.5)});
-  ASSERT_TRUE(cpu.submit(1.0, nullptr));
-  EXPECT_FALSE(cpu.submit(1.0, nullptr));
+  CpuQueue cpu(sim, 1.0);
+  for (int i = 0; i < 3; ++i) cpu.submit(1.0, nullptr);  // 3s of backlog
   bool ran = false;
-  cpu.submit_urgent(1.0, [&] { ran = true; });
+  cpu.submit(1.0, [&] { ran = true; });
   sim.run();
   EXPECT_TRUE(ran);
+  EXPECT_EQ(cpu.stats().admitted, 4u);
+  EXPECT_EQ(cpu.stats().rejected, 0u);
 }
 
 TEST(CpuQueueTest, BacklogDrainsOverTime) {
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{1.0, SimTime::seconds(10.0)});
-  ASSERT_TRUE(cpu.submit(2.0, nullptr));
+  CpuQueue cpu(sim, 1.0);
+  cpu.submit(2.0, nullptr);
   EXPECT_EQ(cpu.backlog(), SimTime::seconds(2.0));
   sim.run_until(SimTime::seconds(1.5));
   EXPECT_EQ(cpu.backlog(), SimTime::millis(500));
@@ -616,8 +607,8 @@ TEST(CpuQueueTest, BacklogDrainsOverTime) {
 
 TEST(CpuQueueTest, BusyElapsedTracksWork) {
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{1.0, SimTime::seconds(10.0)});
-  ASSERT_TRUE(cpu.submit(1.0, nullptr));
+  CpuQueue cpu(sim, 1.0);
+  cpu.submit(1.0, nullptr);
   sim.run_until(SimTime::seconds(4.0));
   // 1s of work in 4s elapsed.
   EXPECT_EQ(cpu.busy_elapsed(sim.now()), SimTime::seconds(1.0));
@@ -625,12 +616,12 @@ TEST(CpuQueueTest, BusyElapsedTracksWork) {
 
 TEST(CpuQueueTest, UtilizationProbeMeasuresWindow) {
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{1.0, SimTime::seconds(100.0)});
+  CpuQueue cpu(sim, 1.0);
   UtilizationProbe probe(cpu, sim);
   // Submit 1s of work every 2s: 50% utilization.
   for (int i = 0; i < 5; ++i) {
     sim.schedule(SimTime::seconds(2.0 * i),
-                 [&] { ASSERT_TRUE(cpu.submit(1.0, nullptr)); });
+                 [&] { cpu.submit(1.0, nullptr); });
   }
   sim.run_until(SimTime::seconds(10.0));
   EXPECT_NEAR(probe.utilization(), 0.5, 0.01);
@@ -638,18 +629,18 @@ TEST(CpuQueueTest, UtilizationProbeMeasuresWindow) {
 
 TEST(CpuQueueTest, UtilizationSaturatesAtOne) {
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{1.0, SimTime::seconds(1000.0)});
+  CpuQueue cpu(sim, 1.0);
   UtilizationProbe probe(cpu, sim);
-  for (int i = 0; i < 100; ++i) ASSERT_TRUE(cpu.submit(1.0, nullptr));
+  for (int i = 0; i < 100; ++i) cpu.submit(1.0, nullptr);
   sim.run_until(SimTime::seconds(10.0));
   EXPECT_NEAR(probe.utilization(), 1.0, 1e-9);
 }
 
 TEST(CpuQueueTest, ProbeRestartForgetsHistory) {
   Simulator sim;
-  CpuQueue cpu(sim, CpuQueueConfig{1.0, SimTime::seconds(1000.0)});
+  CpuQueue cpu(sim, 1.0);
   UtilizationProbe probe(cpu, sim);
-  ASSERT_TRUE(cpu.submit(1.0, nullptr));
+  cpu.submit(1.0, nullptr);
   sim.run_until(SimTime::seconds(1.0));  // 100% so far
   probe.restart();
   sim.run_until(SimTime::seconds(2.0));  // idle second

@@ -87,9 +87,6 @@ TEST(ProbeEquivalence, TxnKeyHashMatchesLegacyHasher) {
   for (const sip::TransactionKey& key : keys) {
     EXPECT_EQ(sip::txn_key_hash(key.branch, key.sent_by, key.method),
               sip::TransactionKeyHash{}(key));
-    const sip::TxnProbe probe = sip::key_probe(key);
-    EXPECT_EQ(probe.hash, sip::TransactionKeyHash{}(key));
-    EXPECT_TRUE(probe.matches(key.branch, key.sent_by, key.method));
   }
   // Method participates in the hash (CANCEL vs INVITE share branch).
   EXPECT_NE(
