@@ -35,6 +35,12 @@ const char* server_event_name(ServerEvent event) {
   return "?";
 }
 
+/// The shadow's own copy of the production key: the oracle keeps it for
+/// reports after the transaction is gone, and compares nothing by identity.
+sip::TransactionKey owning_key(const txn::TxnKey& key) {
+  return sip::TransactionKey{key.branch.str(), key.sent_by.str(), key.method};
+}
+
 }  // namespace
 
 std::string TxnOracle::describe(const sip::TransactionKey& key) {
@@ -117,13 +123,12 @@ void TxnOracle::check_sends(Shadow& shadow, const char* event_name) {
 // ---------------------------------------------------------------------------
 
 void TxnOracle::on_client_created(const txn::ClientTransaction* txn,
-                                  const sip::TransactionKey& key,
                                   const txn::TimerConfig& timers) {
   ClientShadow shadow;
-  shadow.key = key;
+  shadow.key = owning_key(txn->key());
   shadow.timers = timers;
-  shadow.is_invite = key.method == sip::Method::kInvite;
-  shadow.method = key.method;
+  shadow.is_invite = shadow.key.method == sip::Method::kInvite;
+  shadow.method = shadow.key.method;
   shadow.state =
       shadow.is_invite ? ClientState::kCalling : ClientState::kTrying;
   shadow.rtx_interval = timers.t1;
@@ -311,12 +316,11 @@ void TxnOracle::on_client_removed(const txn::ClientTransaction* txn) {
 // ---------------------------------------------------------------------------
 
 void TxnOracle::on_server_created(const txn::ServerTransaction* txn,
-                                  const sip::TransactionKey& key,
                                   const txn::TimerConfig& timers) {
   ServerShadow shadow;
-  shadow.key = key;
+  shadow.key = owning_key(txn->key());
   shadow.timers = timers;
-  shadow.is_invite = key.method == sip::Method::kInvite;
+  shadow.is_invite = shadow.key.method == sip::Method::kInvite;
   // 17.2.1: the INVITE server starts in Proceeding (the TU's 100 follows);
   // 17.2.2: the non-INVITE server starts in Trying.
   shadow.state =

@@ -42,7 +42,6 @@ class TxnOracle final : public txn::ConformanceTap {
 
   // txn::ConformanceTap
   void on_client_created(const txn::ClientTransaction* txn,
-                         const sip::TransactionKey& key,
                          const txn::TimerConfig& timers) override;
   void on_client_send(const txn::ClientTransaction* txn,
                       const sip::MessagePtr& msg) override;
@@ -52,7 +51,6 @@ class TxnOracle final : public txn::ConformanceTap {
   void on_client_removed(const txn::ClientTransaction* txn) override;
 
   void on_server_created(const txn::ServerTransaction* txn,
-                         const sip::TransactionKey& key,
                          const txn::TimerConfig& timers) override;
   void on_server_send(const txn::ServerTransaction* txn,
                       const sip::MessagePtr& msg) override;

@@ -840,7 +840,7 @@ void ProxyServer::send_overload_signal(bool on, double c_asf_rate) {
     }
     auto msg = make_overload_options(kOverloadHeader, value);
     // Control sends bypass admission: signalling must survive saturation.
-    cpu_.submit(CpuCostModel::generate_error().total(), nullptr);
+    cpu_.submit(CpuCostModel::generate_error().total(), {});
     send_charged(upstream, msg);
     ++stats_.overload_signals_sent;
   }
@@ -851,7 +851,7 @@ void ProxyServer::send_overload_status(Address to) {
   std::snprintf(value, sizeof(value), "%s;rate=%.3f",
                 last_overload_on_ ? "on" : "off", last_overload_rate_);
   auto msg = make_overload_options(kOverloadHeader, value);
-  cpu_.submit(CpuCostModel::generate_error().total(), nullptr);
+  cpu_.submit(CpuCostModel::generate_error().total(), {});
   send_charged(to, msg);
   ++stats_.overload_signals_sent;
 }
@@ -866,7 +866,7 @@ void ProxyServer::send_overload_probe(std::size_t path_index) {
                         static_cast<double>(path_index));
   }
   auto msg = make_overload_options(kOverloadProbeHeader, "request");
-  cpu_.submit(CpuCostModel::generate_error().total(), nullptr);
+  cpu_.submit(CpuCostModel::generate_error().total(), {});
   send_charged(path.next_hop, msg);
   ++stats_.overload_probes_sent;
 }
@@ -891,7 +891,7 @@ std::optional<ProxyServer::LocalTarget> ProxyServer::resolve_local_target(
 void ProxyServer::send_charged(Address to, const sip::MessagePtr& msg) {
   const CostVector cost = CpuCostModel::transport_send();
   charge(cost);
-  cpu_.submit(cost.total(), nullptr);
+  cpu_.submit(cost.total(), {});
   tx_counter_.inc(sim_.obs().metrics);
   network_.send(config_.address, to, msg);
 }

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/sim_time.hpp"
 #include "obs/metrics.hpp"
+#include "sim/event_action.hpp"
 #include "sim/simulator.hpp"
 
 namespace svk::sim {
@@ -28,13 +28,15 @@ struct CpuStats {
 /// FIFO CPU with utilization accounting.
 class CpuQueue {
  public:
-  using Completion = std::function<void()>;
+  /// Scheduled as the completion event itself: no std::function block
+  /// wrapped inside the event's own small-buffer action.
+  using Completion = EventAction;
 
   /// `capacity` is the processing capacity in cost units per second.
   CpuQueue(Simulator& sim, double capacity);
 
   /// Queues `cost` units of work; on completion (after queueing + service
-  /// time) runs `done`, if set.
+  /// time) runs `done`, if set (pass `{}` for none).
   void submit(double cost, Completion done);
 
   /// Counts one request refused with 500 into stats().rejected. Only

@@ -8,18 +8,6 @@
 
 namespace svk::txn {
 
-namespace {
-
-/// The stored key method of a server transaction: its retained request's
-/// method, ACK-normalized like server_key (transactions are never created
-/// from ACKs, but the normalization keeps lookup and creation symmetric).
-sip::Method server_stored_method(const ServerTransaction& txn) {
-  const sip::Method m = txn.request()->method();
-  return m == sip::Method::kAck ? sip::Method::kInvite : m;
-}
-
-}  // namespace
-
 TransactionManager::TransactionManager(sim::Simulator& sim,
                                        TimerConfig timers)
     : sim_(sim), timers_(timers) {}
@@ -49,33 +37,25 @@ ClientTransaction& TransactionManager::create_client(
     const sip::MessagePtr& request, SendFn send, ClientCallbacks callbacks,
     TxnHandle* out_handle) {
   // The response will arrive with our Via on top, so the client key is
-  // derived from the request's current top Via. The transaction retains the
-  // request for its whole lifetime, so the table entry needs no owning key:
-  // hash once here, compare against the retained request on probe.
-  const sip::Via& via = request->top_via();
-  const sip::Method method = request->cseq().method;
+  // derived from the request's current top Via. The transaction captures
+  // that key inline, so the table entry needs no owning key: hash once
+  // here, compare against the transaction's key on probe.
   TxnHandle handle;
-  handle.hash = sip::txn_key_hash(via.branch, via.sent_by, method);
-  auto user_terminated = std::move(callbacks.on_terminated);
   handle.slot = client_slab_.emplace(
-      sim_, timers_, method == sip::Method::kInvite, request, std::move(send),
-      std::move(callbacks));
+      sim_, timers_, request->cseq().method == sip::Method::kInvite, request,
+      std::move(send), std::move(callbacks));
   ClientTransaction& ref = *client_slab_.get(handle.slot);
-  // The removal wrapper needs the handle, which exists only now.
-  ref.set_on_terminated(
-      [this, handle, user_terminated = std::move(user_terminated)] {
-        if (user_terminated) user_terminated();
-        schedule_client_removal(handle);
-      });
+  const TxnKey& key = ref.key();
+  handle.hash = sip::txn_key_hash(key.branch, key.sent_by, key.method);
+  ref.owner_ = this;
+  ref.handle_ = handle;
   ++created_;
   clients_.insert(handle.hash, handle.slot);
   client_created_.inc(sim_.obs().metrics);
   note_active();
   if (tap_ != nullptr) {
     ref.set_tap(tap_);
-    tap_->on_client_created(
-        &ref, sip::TransactionKey{via.branch.str(), via.sent_by.str(), method},
-        timers_);
+    tap_->on_client_created(&ref, timers_);
   }
   if (out_handle != nullptr) *out_handle = handle;
   ref.start();
@@ -88,23 +68,19 @@ ServerTransaction& TransactionManager::create_server(
   const sip::TxnProbe probe = request_probe(request);
   TxnHandle handle;
   handle.hash = probe.hash;
-  auto user_terminated = std::move(callbacks.on_terminated);
   handle.slot = server_slab_.emplace(
       sim_, timers_, request->method() == sip::Method::kInvite, request,
       std::move(send), std::move(callbacks));
   ServerTransaction& ref = *server_slab_.get(handle.slot);
-  ref.set_on_terminated(
-      [this, handle, user_terminated = std::move(user_terminated)] {
-        if (user_terminated) user_terminated();
-        schedule_server_removal(handle);
-      });
+  ref.owner_ = this;
+  ref.handle_ = handle;
   ++created_;
   servers_.insert(handle.hash, handle.slot);
   server_created_.inc(sim_.obs().metrics);
   note_active();
   if (tap_ != nullptr) {
     ref.set_tap(tap_);
-    tap_->on_server_created(&ref, sip::server_key(*request), timers_);
+    tap_->on_server_created(&ref, timers_);
   }
   if (out_handle != nullptr) *out_handle = handle;
   return ref;
@@ -114,10 +90,8 @@ ServerTransaction* TransactionManager::find_server(
     const sip::TxnProbe& probe) {
   common::SlabHandle* slot =
       servers_.find(probe.hash, [&](const common::SlabHandle& h) {
-        const ServerTransaction* txn = server_slab_.get(h);
-        const sip::Via& via = txn->request()->top_via();
-        return probe.matches(via.branch, via.sent_by,
-                             server_stored_method(*txn));
+        const TxnKey& key = server_slab_.get(h)->key();
+        return probe.matches(key.branch, key.sent_by, key.method);
       });
   return slot != nullptr ? server_slab_.get(*slot) : nullptr;
 }
@@ -126,10 +100,8 @@ ClientTransaction* TransactionManager::find_client(
     const sip::TxnProbe& probe) {
   common::SlabHandle* slot =
       clients_.find(probe.hash, [&](const common::SlabHandle& h) {
-        const ClientTransaction* txn = client_slab_.get(h);
-        const sip::Via& via = txn->request()->top_via();
-        return probe.matches(via.branch, via.sent_by,
-                             txn->request()->cseq().method);
+        const TxnKey& key = client_slab_.get(h)->key();
+        return probe.matches(key.branch, key.sent_by, key.method);
       });
   return slot != nullptr ? client_slab_.get(*slot) : nullptr;
 }

@@ -6,8 +6,9 @@
 // tags), and the client/server tables are FlatTables holding just
 // (precomputed key hash, slab handle) per entry. The key itself is never
 // copied into the table — equality dereferences the slab-resident
-// transaction and compares against its retained request's top Via — so a
-// dispatch computes one TxnProbe from string_views and probes with zero
+// transaction and compares against the key it captured inline (never its
+// request, which a lingering transaction has dropped) — so a dispatch
+// computes one TxnProbe from string_views and probes with zero
 // allocation, and steady-state create/dispatch/erase touches no allocator.
 #pragma once
 
@@ -37,18 +38,6 @@ enum class Dispatch {
   kStrayResponse,
 };
 
-/// Stable reference to one table entry: the entry's precomputed key hash
-/// plus the generation-tagged slab handle. POD, 16 bytes — owners capture
-/// this in callbacks instead of an owning TransactionKey (two string
-/// copies), and resolution is a generation check instead of a probe.
-/// Outliving the transaction is safe: a stale handle resolves to null.
-struct TxnHandle {
-  std::uint64_t hash = 0;
-  common::SlabHandle slot;
-
-  [[nodiscard]] bool null() const { return slot.null(); }
-};
-
 /// Owns all transactions of one element (proxy or user agent).
 class TransactionManager {
  public:
@@ -59,7 +48,8 @@ class TransactionManager {
 
   /// Creates and starts a client transaction for `request` (whose top Via
   /// must already carry this element's branch). `callbacks.on_terminated`
-  /// may be empty; the manager always removes the entry afterwards.
+  /// may be empty; the transaction reports termination to the manager
+  /// itself, which removes the entry in a fresh event after that callback.
   /// `out_handle`, when given, receives the new entry's handle.
   ClientTransaction& create_client(const sip::MessagePtr& request,
                                    SendFn send, ClientCallbacks callbacks,
@@ -108,6 +98,10 @@ class TransactionManager {
   void set_conformance_tap(ConformanceTap* tap) { tap_ = tap; }
 
  private:
+  // Transactions call schedule_*_removal on reaching Terminated.
+  friend class ClientTransaction;
+  friend class ServerTransaction;
+
   void schedule_client_removal(TxnHandle handle);
   void schedule_server_removal(TxnHandle handle);
   /// Emits the active-transaction counter track after a table change.

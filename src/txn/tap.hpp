@@ -15,7 +15,6 @@
 // settled and can be compared against a reference machine.
 #pragma once
 
-#include "sip/branch.hpp"
 #include "sip/message.hpp"
 #include "txn/timers.hpp"
 
@@ -45,8 +44,9 @@ class ConformanceTap {
  public:
   virtual ~ConformanceTap() = default;
 
+  /// The transaction's key() is set; an observer that keeps it past the
+  /// transaction must copy it.
   virtual void on_client_created(const ClientTransaction* txn,
-                                 const sip::TransactionKey& key,
                                  const TimerConfig& timers) = 0;
   virtual void on_client_send(const ClientTransaction* txn,
                               const sip::MessagePtr& msg) = 0;
@@ -56,7 +56,6 @@ class ConformanceTap {
   virtual void on_client_removed(const ClientTransaction* txn) = 0;
 
   virtual void on_server_created(const ServerTransaction* txn,
-                                 const sip::TransactionKey& key,
                                  const TimerConfig& timers) = 0;
   virtual void on_server_send(const ServerTransaction* txn,
                               const sip::MessagePtr& msg) = 0;

@@ -3,8 +3,24 @@
 #include <algorithm>
 #include <cassert>
 
+#include "txn/manager.hpp"
+
 namespace svk::txn {
 namespace {
+
+TxnKey client_key_of(const sip::Message& request) {
+  const sip::Via& via = request.top_via();
+  return TxnKey{via.branch, via.sent_by, request.cseq().method};
+}
+
+/// ACK-normalized like sip::key_for_request (transactions are never created
+/// from ACKs, but the normalization keeps lookup and creation symmetric).
+TxnKey server_key_of(const sip::Message& request) {
+  const sip::Via& via = request.top_via();
+  const sip::Method m = request.method();
+  return TxnKey{via.branch, via.sent_by,
+                m == sip::Method::kAck ? sip::Method::kInvite : m};
+}
 
 /// Hop-by-hop ACK for a non-2xx final response (RFC 3261 17.1.1.3): same
 /// branch/top Via as the INVITE, To copied from the response (it carries the
@@ -34,6 +50,7 @@ ClientTransaction::ClientTransaction(sim::Simulator& sim,
       timers_(timers),
       is_invite_(is_invite),
       request_(std::move(request)),
+      key_(client_key_of(*request_)),
       send_(std::move(send)),
       callbacks_(std::move(callbacks)),
       state_(is_invite ? ClientState::kCalling : ClientState::kTrying),
@@ -75,7 +92,7 @@ void ClientTransaction::fire_timeout() {
     state_ = ClientState::kTerminated;
     cancel_timers();
     if (callbacks_.on_timeout) callbacks_.on_timeout();
-    if (callbacks_.on_terminated) callbacks_.on_terminated();
+    announce_terminated();
   }
   notify(ClientEvent::kTimerTimeout);
 }
@@ -108,25 +125,39 @@ void ClientTransaction::send_ack_for(const sip::MessagePtr& response) {
   wire_send(build_non2xx_ack(*request_, *response));
 }
 
-void ClientTransaction::enter_completed_invite(
-    const sip::MessagePtr& response) {
-  send_ack_for(response);
+void ClientTransaction::enter_completed(const sip::MessagePtr& response) {
+  // An INVITE ACKs the non-2xx final (17.1.1.3) and keeps its request and
+  // send function to re-ACK retransmissions of it; a non-INVITE will send
+  // nothing more. Neither passes anything up again.
+  if (is_invite_) send_ack_for(response);
   state_ = ClientState::kCompleted;
   sim_.cancel(rtx_timer_);
   sim_.cancel(timeout_timer_);
   rtx_timer_ = timeout_timer_ = 0;
-  linger_timer_ = sim_.schedule(timers_.timer_d(), [this] {
-    linger_timer_ = 0;
-    terminate();
-    notify(ClientEvent::kTimerLinger);
-  });
+  linger_timer_ = sim_.schedule(
+      is_invite_ ? timers_.timer_d() : timers_.timer_k(), [this] {
+        linger_timer_ = 0;
+        terminate();
+        notify(ClientEvent::kTimerLinger);
+      });
+  callbacks_.on_response = nullptr;
+  callbacks_.on_timeout = nullptr;
+  if (!is_invite_) {
+    request_.reset();
+    send_ = nullptr;
+  }
 }
 
 void ClientTransaction::terminate() {
   if (state_ == ClientState::kTerminated) return;
   state_ = ClientState::kTerminated;
   cancel_timers();
+  announce_terminated();
+}
+
+void ClientTransaction::announce_terminated() {
   if (callbacks_.on_terminated) callbacks_.on_terminated();
+  if (owner_ != nullptr) owner_->schedule_client_removal(handle_);
 }
 
 void ClientTransaction::receive_response(const sip::MessagePtr& response) {
@@ -170,19 +201,11 @@ void ClientTransaction::receive_response_impl(
           terminate();
         } else {
           if (callbacks_.on_response) callbacks_.on_response(response);
-          enter_completed_invite(response);
+          enter_completed(response);
         }
       } else {
         if (callbacks_.on_response) callbacks_.on_response(response);
-        state_ = ClientState::kCompleted;
-        sim_.cancel(rtx_timer_);
-        sim_.cancel(timeout_timer_);
-        rtx_timer_ = timeout_timer_ = 0;
-        linger_timer_ = sim_.schedule(timers_.timer_k(), [this] {
-          linger_timer_ = 0;
-          terminate();
-          notify(ClientEvent::kTimerLinger);
-        });
+        enter_completed(response);
       }
       return;
     }
@@ -209,6 +232,7 @@ ServerTransaction::ServerTransaction(sim::Simulator& sim,
       timers_(timers),
       is_invite_(is_invite),
       request_(std::move(request)),
+      key_(server_key_of(*request_)),
       send_(std::move(send)),
       callbacks_(std::move(callbacks)),
       state_(is_invite ? ServerState::kProceeding : ServerState::kTrying),
@@ -229,7 +253,12 @@ void ServerTransaction::terminate() {
   if (state_ == ServerState::kTerminated) return;
   state_ = ServerState::kTerminated;
   cancel_timers();
+  announce_terminated();
+}
+
+void ServerTransaction::announce_terminated() {
   if (callbacks_.on_terminated) callbacks_.on_terminated();
+  if (owner_ != nullptr) owner_->schedule_server_removal(handle_);
 }
 
 void ServerTransaction::wire_send(const sip::MessagePtr& msg) {
@@ -249,7 +278,8 @@ void ServerTransaction::receive_request_impl(const sip::MessagePtr& request) {
   if (is_invite_ && request->method() == sip::Method::kAck) {
     if (state_ == ServerState::kCompleted) {
       // ACK for our non-2xx final: stop retransmitting, linger on timer I
-      // to absorb further ACKs.
+      // to absorb further ACKs. Confirmed sends nothing and tells the TU
+      // nothing but termination, so it keeps nothing else.
       state_ = ServerState::kConfirmed;
       sim_.cancel(rtx_timer_);
       sim_.cancel(timeout_timer_);
@@ -260,6 +290,10 @@ void ServerTransaction::receive_request_impl(const sip::MessagePtr& request) {
         notify(ServerEvent::kTimerLinger);
       });
       if (callbacks_.on_ack) callbacks_.on_ack(request);
+      last_response_.reset();
+      send_ = nullptr;
+      callbacks_.on_ack = nullptr;
+      callbacks_.on_timeout = nullptr;
     }
     // ACK retransmissions in Confirmed are absorbed silently.
     return;
@@ -307,6 +341,9 @@ void ServerTransaction::respond_impl(const sip::MessagePtr& response) {
   }
   last_response_ = response;
   wire_send(response);
+  // From here on the transaction only absorbs retransmissions (matched by
+  // key_) and replays last_response_: the request is no longer needed.
+  request_.reset();
   if (is_invite_) {
     if (sip::is_success(code)) {
       // 2xx: INVITE server transaction terminates at once (17.2.1); 2xx
@@ -332,6 +369,8 @@ void ServerTransaction::respond_impl(const sip::MessagePtr& response) {
       terminate();
       notify(ServerEvent::kTimerLinger);
     });
+    callbacks_.on_ack = nullptr;
+    callbacks_.on_timeout = nullptr;
   }
 }
 

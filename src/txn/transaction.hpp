@@ -8,11 +8,25 @@
 // Machines communicate with their owner purely through callbacks
 // (I.25-style small interfaces): a wire-send function and transaction-user
 // events. They never touch the network or the proxy core directly.
+//
+// A transaction holds only what its current state can use. It captures its
+// matching key inline at construction, so matching never reads the retained
+// request, and when it enters a state that only absorbs or replays it drops
+// the rest. Besides its key, timers and on_terminated, a lingering
+// transaction keeps (DESIGN.md §11):
+//
+//   non-INVITE client Completed (K)  nothing
+//   INVITE client Completed (D)      request, send: it re-ACKs finals
+//   non-INVITE server Completed (J)  last response, send: it replays them
+//   INVITE server Completed (G/H)    last response, send, on_ack, on_timeout
+//   INVITE server Confirmed (I)      nothing
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <utility>
 
+#include "common/slab.hpp"
 #include "sim/simulator.hpp"
 #include "sip/branch.hpp"
 #include "sip/message.hpp"
@@ -43,6 +57,31 @@ struct ServerCallbacks {
   std::function<void()> on_terminated;
 };
 
+/// What a transaction is matched by (RFC 3261 17.1.3 / 17.2.3): its
+/// request's top-Via branch and sent-by, and the method (a server's is
+/// ACK-normalized, so the ACK for a non-2xx final finds its INVITE).
+/// Captured at construction; copying it shares the branch block and the
+/// interned sent-by, so it costs no allocation.
+struct TxnKey {
+  sip::SharedText branch;
+  sip::Token sent_by;
+  sip::Method method = sip::Method::kInvite;
+};
+
+class TransactionManager;
+
+/// Stable reference to one transaction-table entry: the entry's
+/// precomputed key hash plus the generation-tagged slab handle. POD, 16
+/// bytes — owners capture this in callbacks instead of an owning key, and
+/// resolution is a generation check instead of a probe. Outliving the
+/// transaction is safe: a stale handle resolves to null.
+struct TxnHandle {
+  std::uint64_t hash = 0;
+  common::SlabHandle slot;
+
+  [[nodiscard]] bool null() const { return slot.null(); }
+};
+
 /// Function used to put a message on the wire (destination is bound by the
 /// owner when constructing the transaction).
 using SendFn = std::function<void(const sip::MessagePtr&)>;
@@ -67,7 +106,11 @@ class ClientTransaction {
   void receive_response(const sip::MessagePtr& response);
 
   [[nodiscard]] ClientState state() const { return state_; }
+  /// The request this transaction sends. Null once a non-INVITE
+  /// transaction is Completed: it will not send again. An INVITE keeps it
+  /// in Completed, to ACK retransmitted finals.
   [[nodiscard]] const sip::MessagePtr& request() const { return request_; }
+  [[nodiscard]] const TxnKey& key() const { return key_; }
   [[nodiscard]] int retransmit_count() const { return retransmits_; }
   [[nodiscard]] bool is_invite() const { return is_invite_; }
 
@@ -75,21 +118,18 @@ class ClientTransaction {
   /// notifications; the manager sets this before start().
   void set_tap(ConformanceTap* tap) { tap_ = tap; }
 
-  /// Replaces the termination callback. The manager's removal wrapper
-  /// captures the table handle, which exists only once the transaction sits
-  /// in the slab — so it is installed right after construction, before any
-  /// event can fire.
-  void set_on_terminated(std::function<void()> f) {
-    callbacks_.on_terminated = std::move(f);
-  }
-
  private:
+  friend class TransactionManager;
+
   void receive_response_impl(const sip::MessagePtr& response);
-  void enter_completed_invite(const sip::MessagePtr& response);
+  void enter_completed(const sip::MessagePtr& response);
   void send_ack_for(const sip::MessagePtr& response);
   void arm_retransmit(SimTime interval);
   void fire_timeout();
   void terminate();
+  /// Runs the user's on_terminated, then has the owning manager (if any)
+  /// schedule the table removal.
+  void announce_terminated();
   void cancel_timers();
   /// All wire output funnels through here so the tap sees every send.
   void wire_send(const sip::MessagePtr& msg);
@@ -101,9 +141,13 @@ class ClientTransaction {
   TimerConfig timers_;
   bool is_invite_;
   sip::MessagePtr request_;
+  TxnKey key_;
   SendFn send_;
   ClientCallbacks callbacks_;
   ConformanceTap* tap_{nullptr};
+  // Set by the owning manager once the transaction sits in its table.
+  TransactionManager* owner_{nullptr};
+  TxnHandle handle_;
 
   ClientState state_;
   SimTime rtx_interval_;
@@ -134,23 +178,24 @@ class ServerTransaction {
   void respond(const sip::MessagePtr& response);
 
   [[nodiscard]] ServerState state() const { return state_; }
+  /// The request that created this transaction. Null from Completed on:
+  /// what is left only absorbs retransmissions, matched by key().
   [[nodiscard]] const sip::MessagePtr& request() const { return request_; }
+  [[nodiscard]] const TxnKey& key() const { return key_; }
   [[nodiscard]] int absorbed_count() const { return absorbed_; }
   [[nodiscard]] bool is_invite() const { return is_invite_; }
 
   /// Installs (or clears) the conformance tap (see ClientTransaction).
   void set_tap(ConformanceTap* tap) { tap_ = tap; }
 
-  /// Replaces the termination callback (see ClientTransaction).
-  void set_on_terminated(std::function<void()> f) {
-    callbacks_.on_terminated = std::move(f);
-  }
-
  private:
+  friend class TransactionManager;
+
   void receive_request_impl(const sip::MessagePtr& request);
   void respond_impl(const sip::MessagePtr& response);
   void arm_response_retransmit(SimTime interval);
   void terminate();
+  void announce_terminated();
   void cancel_timers();
   void wire_send(const sip::MessagePtr& msg);
   void notify(ServerEvent event, const sip::Message* msg = nullptr) {
@@ -161,9 +206,12 @@ class ServerTransaction {
   TimerConfig timers_;
   bool is_invite_;
   sip::MessagePtr request_;
+  TxnKey key_;
   SendFn send_;
   ServerCallbacks callbacks_;
   ConformanceTap* tap_{nullptr};
+  TransactionManager* owner_{nullptr};
+  TxnHandle handle_;
 
   ServerState state_;
   sip::MessagePtr last_response_;

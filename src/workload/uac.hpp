@@ -69,6 +69,9 @@ class Uac {
   [[nodiscard]] const UacConfig& config() const { return config_; }
   /// Calls currently in flight (diagnostics).
   [[nodiscard]] std::size_t open_calls() const { return calls_.size(); }
+  [[nodiscard]] const txn::TransactionManager& transactions() const {
+    return txns_;
+  }
   /// Installs a conformance tap on this UAC's transactions (txn/tap.hpp).
   void set_conformance_tap(txn::ConformanceTap* tap) {
     txns_.set_conformance_tap(tap);

@@ -52,6 +52,9 @@ class Uas {
     return registrations_confirmed_;
   }
 
+  [[nodiscard]] const txn::TransactionManager& transactions() const {
+    return txns_;
+  }
   /// Installs a conformance tap on this UAS's transactions (txn/tap.hpp).
   void set_conformance_tap(txn::ConformanceTap* tap) {
     txns_.set_conformance_tap(tap);

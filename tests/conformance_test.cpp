@@ -15,14 +15,22 @@
 //   * dialog drain — dialog-stateful proxies hold zero dialogs after load
 //                    stops and SIP timers drain, also when INVITEs are
 //                    refused with 500 at the queue bound;
-//   * overload     — the 503 paths of both overload controls run clean.
+//   * overload     — the 503 paths of both overload controls run clean;
+//   * CANCEL/REGISTER — abandoned calls (CANCEL, 487, hop-by-hop ACK) and
+//                    a forwarded REGISTER run clean through stateful and
+//                    stateless proxies.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "check/run_checker.hpp"
+#include "proxy/proxy.hpp"
 #include "workload/runner.hpp"
 #include "workload/scenarios.hpp"
+#include "workload/testbed.hpp"
+#include "workload/uac.hpp"
+#include "workload/uas.hpp"
 
 namespace svk::workload {
 namespace {
@@ -159,6 +167,75 @@ TEST(ConformanceTest, OverloadPoliciesAreClean) {
       }
       EXPECT_GT(sent_503, 0u);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CANCEL and REGISTER: the Completed/Confirmed paths the call mix never takes
+// ---------------------------------------------------------------------------
+
+TEST(ConformanceTest, CancelAndRegisterAreClean) {
+  // Two proxies in series; one keeps the call's transaction state, the
+  // other forwards statelessly. The callee registers through the entry,
+  // which forwards the REGISTER to the exit (the registrar). Half the
+  // callers abandon before the 800 ms answer: their CANCEL is answered 200
+  // (non-INVITE server Completed), the INVITE 487 (INVITE server Completed,
+  // then Confirmed by the ACK; INVITE client Completed re-ACKs).
+  for (const bool entry_stateful : {true, false}) {
+    SCOPED_TRACE(entry_stateful ? "stateful entry" : "stateless entry");
+    auto bed = std::make_unique<TestBed>(7);
+    const Address entry = bed->declare_host("proxy0.test");
+    const Address exit = bed->declare_host("proxy1.test");
+    for (const bool is_entry : {true, false}) {
+      proxy::RouteTable routes;
+      if (is_entry) {
+        routes.add_route("example.com", {exit});
+      } else {
+        routes.add_local("example.com");
+      }
+      proxy::ProxyConfig config;
+      config.host = is_entry ? "proxy0.test" : "proxy1.test";
+      std::unique_ptr<proxy::StatePolicy> policy;
+      if (is_entry == entry_stateful) {
+        policy = std::make_unique<proxy::AlwaysStateful>();
+      } else {
+        policy = std::make_unique<proxy::AlwaysStateless>();
+      }
+      auto& proxy = bed->add_proxy(std::move(config), std::move(routes),
+                                   std::move(policy));
+      if (!is_entry) proxy.set_upstream_proxies({entry});
+    }
+    UasConfig uas_config;
+    uas_config.host = "uas0.example.com";
+    uas_config.answer_delay = SimTime::millis(800);
+    Uas& uas = bed->add_uas(uas_config);
+    UacConfig uac_config;
+    uac_config.host = "uac0.client.test";
+    uac_config.first_hop = entry;
+    uac_config.target_domain = "example.com";
+    uac_config.num_callees = 1;
+    uac_config.call_rate_cps = 20.0;
+    uac_config.cancel_probability = 0.5;
+    uac_config.ring_abandon_after = SimTime::millis(400);
+    Uac& uac = bed->add_uac(std::move(uac_config));
+
+    check::RunChecker& checker = bed->enable_checking();
+    uas.register_with(entry, "user0@example.com", SimTime::seconds(3600.0));
+    bed->sim().run_until(SimTime::seconds(0.5));
+    EXPECT_EQ(uas.registrations_confirmed(), 1u);
+    bed->start_load();
+    bed->sim().run_until(SimTime::seconds(8.0));
+    bed->stop_load();
+    bed->sim().run_until(SimTime::seconds(48.0));  // past timers D, H, J
+    checker.finish();
+
+    EXPECT_TRUE(checker.log().empty()) << checker.log().summary();
+    EXPECT_GT(checker.oracle().events_checked(), 0u);
+    EXPECT_EQ(checker.oracle().live_shadows(), 0u);
+    EXPECT_GT(uac.metrics().calls_cancelled, 20u);
+    EXPECT_GT(uac.metrics().calls_completed, 20u);
+    EXPECT_EQ(uac.metrics().calls_failed, 0u);
+    EXPECT_EQ(uas.metrics().cancels_received, uac.metrics().calls_cancelled);
   }
 }
 

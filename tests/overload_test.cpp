@@ -60,7 +60,7 @@ TEST(QueueBoundTest, AdmitsAtBoundRefusesAbove) {
     EXPECT_EQ(policy->admit(0, sim.now(), cpu.backlog()),
               AdmitDecision::kAdmit)
         << "backlog " << cpu.backlog().to_seconds() << "s";
-    cpu.submit(1.0, nullptr);
+    cpu.submit(1.0, {});
   }
   EXPECT_EQ(policy->admit(0, sim.now(), cpu.backlog()),  // 3s > bound
             AdmitDecision::kRejectBusy);

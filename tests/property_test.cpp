@@ -178,7 +178,7 @@ TEST(CpuQueuePropertyTest, BusyTimeConservation) {
       const double at = rng.uniform(0.0, 10.0);
       const double cost = rng.uniform(0.1, 5.0);
       sim.schedule(SimTime::seconds(at), [&cpu, &submitted_cost, cost] {
-        cpu.submit(cost, nullptr);
+        cpu.submit(cost, {});
         submitted_cost += cost;
       });
     }

@@ -531,7 +531,7 @@ TEST(CpuQueueTest, CapacityFactorScalesServiceTime) {
 TEST(CpuQueueTest, DegradeRescalesUnservedBacklog) {
   Simulator sim;
   CpuQueue cpu(sim, 1.0);
-  cpu.submit(4.0, nullptr);              // 4s of work at nominal speed
+  cpu.submit(4.0, {});              // 4s of work at nominal speed
   sim.run_until(SimTime::seconds(1.0));  // 3s still unserved
   cpu.set_capacity_factor(0.5);          // degrade: the remainder takes 6s
   EXPECT_EQ(cpu.backlog(), SimTime::seconds(6.0));
@@ -546,7 +546,7 @@ TEST(CpuQueueTest, RecoveryShrinksUnservedBacklog) {
   Simulator sim;
   CpuQueue cpu(sim, 1.0);
   cpu.set_capacity_factor(0.5);
-  cpu.submit(2.0, nullptr);              // 4s at half speed
+  cpu.submit(2.0, {});              // 4s at half speed
   sim.run_until(SimTime::seconds(2.0));  // 2s still unserved
   cpu.set_capacity_factor(1.0);          // recover: the remainder takes 1s
   EXPECT_EQ(cpu.backlog(), SimTime::seconds(1.0));
@@ -556,7 +556,7 @@ TEST(CpuQueueTest, BusyElapsedContinuousAcrossRescale) {
   Simulator sim;
   CpuQueue cpu(sim, 1.0);
   UtilizationProbe probe(cpu, sim);
-  cpu.submit(10.0, nullptr);  // saturated well past the window
+  cpu.submit(10.0, {});  // saturated well past the window
   sim.run_until(SimTime::seconds(1.0));
   const SimTime before = cpu.busy_elapsed(sim.now());
   cpu.set_capacity_factor(0.25);  // degrade mid-window
@@ -585,7 +585,7 @@ TEST(CpuQueueTest, SubmitNeverRefusesWork) {
   // serves whatever it is given, however deep the backlog.
   Simulator sim;
   CpuQueue cpu(sim, 1.0);
-  for (int i = 0; i < 3; ++i) cpu.submit(1.0, nullptr);  // 3s of backlog
+  for (int i = 0; i < 3; ++i) cpu.submit(1.0, {});  // 3s of backlog
   bool ran = false;
   cpu.submit(1.0, [&] { ran = true; });
   sim.run();
@@ -597,7 +597,7 @@ TEST(CpuQueueTest, SubmitNeverRefusesWork) {
 TEST(CpuQueueTest, BacklogDrainsOverTime) {
   Simulator sim;
   CpuQueue cpu(sim, 1.0);
-  cpu.submit(2.0, nullptr);
+  cpu.submit(2.0, {});
   EXPECT_EQ(cpu.backlog(), SimTime::seconds(2.0));
   sim.run_until(SimTime::seconds(1.5));
   EXPECT_EQ(cpu.backlog(), SimTime::millis(500));
@@ -608,7 +608,7 @@ TEST(CpuQueueTest, BacklogDrainsOverTime) {
 TEST(CpuQueueTest, BusyElapsedTracksWork) {
   Simulator sim;
   CpuQueue cpu(sim, 1.0);
-  cpu.submit(1.0, nullptr);
+  cpu.submit(1.0, {});
   sim.run_until(SimTime::seconds(4.0));
   // 1s of work in 4s elapsed.
   EXPECT_EQ(cpu.busy_elapsed(sim.now()), SimTime::seconds(1.0));
@@ -621,7 +621,7 @@ TEST(CpuQueueTest, UtilizationProbeMeasuresWindow) {
   // Submit 1s of work every 2s: 50% utilization.
   for (int i = 0; i < 5; ++i) {
     sim.schedule(SimTime::seconds(2.0 * i),
-                 [&] { cpu.submit(1.0, nullptr); });
+                 [&] { cpu.submit(1.0, {}); });
   }
   sim.run_until(SimTime::seconds(10.0));
   EXPECT_NEAR(probe.utilization(), 0.5, 0.01);
@@ -631,7 +631,7 @@ TEST(CpuQueueTest, UtilizationSaturatesAtOne) {
   Simulator sim;
   CpuQueue cpu(sim, 1.0);
   UtilizationProbe probe(cpu, sim);
-  for (int i = 0; i < 100; ++i) cpu.submit(1.0, nullptr);
+  for (int i = 0; i < 100; ++i) cpu.submit(1.0, {});
   sim.run_until(SimTime::seconds(10.0));
   EXPECT_NEAR(probe.utilization(), 1.0, 1e-9);
 }
@@ -640,7 +640,7 @@ TEST(CpuQueueTest, ProbeRestartForgetsHistory) {
   Simulator sim;
   CpuQueue cpu(sim, 1.0);
   UtilizationProbe probe(cpu, sim);
-  cpu.submit(1.0, nullptr);
+  cpu.submit(1.0, {});
   sim.run_until(SimTime::seconds(1.0));  // 100% so far
   probe.restart();
   sim.run_until(SimTime::seconds(2.0));  // idle second

@@ -3,6 +3,7 @@
 // manager matching.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -35,6 +36,15 @@ MessagePtr make_request(Method method, const std::string& branch = "z9hG4bK-1",
 
 MessagePtr make_response(const Message& req, int code) {
   return Message::response(req, code).finish();
+}
+
+/// The hop-by-hop ACK for a non-2xx final to `inv` (same top Via).
+MessagePtr ack_for(const MessagePtr& inv) {
+  Message ack = Message::request(
+      Method::kAck, inv->request_uri(), inv->from(), inv->to(),
+      inv->call_id(), CSeq{1, Method::kAck});
+  ack.push_via(inv->top_via());
+  return std::move(ack).finish();
 }
 
 /// Collects everything a transaction puts on the wire.
@@ -309,8 +319,9 @@ TEST_F(NonInviteClientTest, ProvisionalKeepsRetransmittingAtT2) {
 
 TEST_F(NonInviteClientTest, RetransmittedFinalAbsorbed) {
   auto txn = make();
-  txn->receive_response(make_response(*txn->request(), 200));
-  txn->receive_response(make_response(*txn->request(), 200));
+  const MessagePtr request = txn->request();  // dropped once Completed
+  txn->receive_response(make_response(*request, 200));
+  txn->receive_response(make_response(*request, 200));
   EXPECT_EQ(responses, (std::vector<int>{200}));
 }
 
@@ -337,13 +348,6 @@ class InviteServerTest : public ::testing::Test {
         std::move(callbacks));
   }
 
-  MessagePtr ack_for(const MessagePtr& inv) {
-    Message ack = Message::request(
-        Method::kAck, inv->request_uri(), inv->from(), inv->to(),
-        inv->call_id(), CSeq{1, Method::kAck});
-    ack.push_via(inv->top_via());
-    return std::move(ack).finish();
-  }
 };
 
 TEST_F(InviteServerTest, StartsProceeding) {
@@ -552,6 +556,186 @@ TEST_F(NonInviteServerTest, NoTimerGRetransmissions) {
 }
 
 // ---------------------------------------------------------------------------
+// Lingering state: a transaction in Completed/Confirmed keeps only what that
+// state can still use. Every callback below captures its own token, so a
+// token's use_count shows whether the transaction still holds the callback.
+// ---------------------------------------------------------------------------
+
+class LingerTest : public ::testing::Test {
+ protected:
+  using Token = std::shared_ptr<int>;
+
+  static bool held(const Token& token) { return token.use_count() > 1; }
+
+  SendFn sender() {
+    return [this, token = send_token](const MessagePtr& m) {
+      wire.sent.push_back(m);
+    };
+  }
+  ClientCallbacks client_callbacks() {
+    ClientCallbacks callbacks;
+    callbacks.on_response = [this, token = response_token](
+                                const MessagePtr& m) {
+      responses.push_back(m->status_code());
+    };
+    callbacks.on_timeout = [token = timeout_token] {};
+    callbacks.on_terminated = [this, token = terminated_token] {
+      ++terminated;
+    };
+    return callbacks;
+  }
+  ServerCallbacks server_callbacks() {
+    ServerCallbacks callbacks;
+    callbacks.on_ack = [this, token = ack_token](const MessagePtr&) {
+      ++acks;
+    };
+    callbacks.on_timeout = [token = timeout_token] {};
+    callbacks.on_terminated = [this, token = terminated_token] {
+      ++terminated;
+    };
+    return callbacks;
+  }
+
+  sim::Simulator sim;
+  TimerConfig timers;
+  WireLog wire;
+  std::vector<int> responses;
+  int acks = 0;
+  int terminated = 0;
+  Token send_token = std::make_shared<int>();
+  Token response_token = std::make_shared<int>();
+  Token ack_token = std::make_shared<int>();
+  Token timeout_token = std::make_shared<int>();
+  Token terminated_token = std::make_shared<int>();
+};
+
+TEST_F(LingerTest, NonInviteClientCompletedKeepsOnlyItsKey) {
+  const MessagePtr bye = make_request(Method::kBye, "z9hG4bK-bye");
+  ClientTransaction txn(sim, timers, /*is_invite=*/false, bye, sender(),
+                        client_callbacks());
+  txn.start();
+  const long pinned = bye.use_count();  // ours, the wire log's, the txn's
+  txn.receive_response(make_response(*bye, 200));
+
+  ASSERT_EQ(txn.state(), ClientState::kCompleted);
+  EXPECT_EQ(txn.request(), nullptr);
+  EXPECT_EQ(bye.use_count(), pinned - 1);
+  EXPECT_FALSE(held(send_token));
+  EXPECT_FALSE(held(response_token));
+  EXPECT_FALSE(held(timeout_token));
+  EXPECT_TRUE(held(terminated_token));
+  EXPECT_EQ(txn.key().branch, "z9hG4bK-bye");
+  EXPECT_EQ(txn.key().sent_by, "client.com");
+  EXPECT_EQ(txn.key().method, Method::kBye);
+
+  // A retransmitted final is still absorbed; timer K still ends it.
+  txn.receive_response(make_response(*bye, 200));
+  EXPECT_EQ(responses, (std::vector<int>{200}));
+  sim.run();
+  EXPECT_EQ(txn.state(), ClientState::kTerminated);
+  EXPECT_EQ(terminated, 1);
+}
+
+TEST_F(LingerTest, InviteClientCompletedKeepsRequestToReAck) {
+  const MessagePtr invite = make_request(Method::kInvite);
+  ClientTransaction txn(sim, timers, /*is_invite=*/true, invite, sender(),
+                        client_callbacks());
+  txn.start();
+  const long pinned = invite.use_count();
+  txn.receive_response(make_response(*invite, 486));
+
+  ASSERT_EQ(txn.state(), ClientState::kCompleted);
+  EXPECT_EQ(txn.request(), invite);
+  EXPECT_EQ(invite.use_count(), pinned);
+  EXPECT_TRUE(held(send_token));
+  EXPECT_FALSE(held(response_token));
+  EXPECT_FALSE(held(timeout_token));
+  EXPECT_TRUE(held(terminated_token));
+
+  // A retransmitted non-2xx is re-ACKed, not passed up.
+  txn.receive_response(make_response(*invite, 486));
+  EXPECT_EQ(wire.count_method(Method::kAck), 2);
+  EXPECT_EQ(responses, (std::vector<int>{486}));
+  sim.run();
+  EXPECT_EQ(terminated, 1);
+}
+
+TEST_F(LingerTest, NonInviteServerCompletedReplaysItsFinal) {
+  const MessagePtr bye = make_request(Method::kBye);
+  ServerTransaction txn(sim, timers, /*is_invite=*/false, bye, sender(),
+                        server_callbacks());
+  const long pinned = bye.use_count();  // ours and the txn's
+  const MessagePtr ok = make_response(*bye, 200);
+  txn.respond(ok);
+
+  ASSERT_EQ(txn.state(), ServerState::kCompleted);
+  EXPECT_EQ(txn.request(), nullptr);
+  EXPECT_EQ(bye.use_count(), pinned - 1);
+  EXPECT_TRUE(held(send_token));
+  EXPECT_FALSE(held(ack_token));
+  EXPECT_FALSE(held(timeout_token));
+  EXPECT_TRUE(held(terminated_token));
+
+  // The retransmitted request still gets the same final back.
+  txn.receive_request(bye);
+  ASSERT_EQ(wire.count_status(200), 2);
+  EXPECT_EQ(wire.sent.back(), ok);
+  sim.run();
+  EXPECT_EQ(terminated, 1);
+}
+
+TEST_F(LingerTest, InviteServerCompletedReplaysItsFinal) {
+  const MessagePtr invite = make_request(Method::kInvite);
+  ServerTransaction txn(sim, timers, /*is_invite=*/true, invite, sender(),
+                        server_callbacks());
+  const long pinned = invite.use_count();
+  const MessagePtr busy = make_response(*invite, 486);
+  txn.respond(busy);
+
+  ASSERT_EQ(txn.state(), ServerState::kCompleted);
+  EXPECT_EQ(txn.request(), nullptr);
+  EXPECT_EQ(invite.use_count(), pinned - 1);
+  EXPECT_TRUE(held(send_token));
+  EXPECT_TRUE(held(ack_token));
+  EXPECT_TRUE(held(timeout_token));
+  EXPECT_TRUE(held(terminated_token));
+
+  // The retransmitted INVITE still gets the final back.
+  txn.receive_request(invite);
+  ASSERT_EQ(wire.count_status(486), 2);
+  EXPECT_EQ(wire.sent.back(), busy);
+}
+
+TEST_F(LingerTest, InviteServerConfirmedKeepsOnlyItsKey) {
+  const MessagePtr invite = make_request(Method::kInvite);
+  ServerTransaction txn(sim, timers, /*is_invite=*/true, invite, sender(),
+                        server_callbacks());
+  const MessagePtr busy = make_response(*invite, 486);
+  txn.respond(busy);
+  const long pinned = busy.use_count();  // ours, the wire log's, the txn's
+  txn.receive_request(ack_for(invite));
+
+  ASSERT_EQ(txn.state(), ServerState::kConfirmed);
+  EXPECT_EQ(acks, 1);
+  EXPECT_EQ(txn.request(), nullptr);
+  EXPECT_EQ(busy.use_count(), pinned - 1);
+  EXPECT_FALSE(held(send_token));
+  EXPECT_FALSE(held(ack_token));
+  EXPECT_FALSE(held(timeout_token));
+  EXPECT_TRUE(held(terminated_token));
+  EXPECT_EQ(txn.key().method, Method::kInvite);
+
+  // Duplicate ACKs are absorbed silently; timer I still ends it.
+  const std::size_t sent = wire.sent.size();
+  txn.receive_request(ack_for(invite));
+  EXPECT_EQ(wire.sent.size(), sent);
+  EXPECT_EQ(acks, 1);
+  sim.run();
+  EXPECT_EQ(txn.state(), ServerState::kTerminated);
+  EXPECT_EQ(terminated, 1);
+}
+
+// ---------------------------------------------------------------------------
 // TransactionManager
 // ---------------------------------------------------------------------------
 
@@ -707,6 +891,46 @@ TEST_F(ManagerTest, StatefulRelayDrainsWhenDownstreamCrashes) {
   EXPECT_GE(wire.count_status(408), 1);
   EXPECT_EQ(manager.active_count(), 0u);
   EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST_F(ManagerTest, LingeringTransactionsStillMatchByKey) {
+  // Matching reads the key a transaction captured at creation, so a
+  // transaction that has dropped its request still absorbs retransmissions
+  // and retransmitted finals.
+  auto bye = make_request(Method::kBye, "z9hG4bK-s");
+  manager.create_server(bye, wire.sender(), ServerCallbacks{});
+  auto* server = manager.find_server(*bye);
+  ASSERT_NE(server, nullptr);
+  server->respond(make_response(*bye, 200));
+  ASSERT_EQ(server->request(), nullptr);
+  EXPECT_EQ(manager.dispatch(bye), Dispatch::kHandledByServerTxn);
+  EXPECT_EQ(wire.count_status(200), 2);
+
+  auto fwd = make_request(Method::kBye, "z9hG4bK-c");
+  manager.create_client(fwd, wire.sender(), ClientCallbacks{});
+  EXPECT_EQ(manager.dispatch(make_response(*fwd, 200)),
+            Dispatch::kHandledByClientTxn);
+  ASSERT_EQ(manager.find_client(*make_response(*fwd, 200))->request(),
+            nullptr);
+  EXPECT_EQ(manager.dispatch(make_response(*fwd, 200)),
+            Dispatch::kHandledByClientTxn);
+  sim.run();
+  EXPECT_EQ(manager.active_count(), 0u);
+}
+
+TEST_F(ManagerTest, UserTerminatedRunsBeforeTheEntryIsRemoved) {
+  auto invite = make_request(Method::kInvite);
+  std::size_t active_at_callback = 0;
+  ClientCallbacks callbacks;
+  callbacks.on_terminated = [&] {
+    active_at_callback = manager.active_count();
+  };
+  manager.create_client(invite, wire.sender(), std::move(callbacks));
+  manager.dispatch(make_response(*invite, 200));
+  EXPECT_EQ(active_at_callback, 1u);
+  EXPECT_EQ(manager.active_count(), 1u);  // removal is a deferred event
+  sim.run();
+  EXPECT_EQ(manager.active_count(), 0u);
 }
 
 TEST_F(ManagerTest, UserTerminatedCallbackRuns) {
