@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "check/transaction_key.hpp"
 #include "common/flat_table.hpp"
 #include "common/hash.hpp"
 #include "common/slab.hpp"
@@ -338,13 +339,13 @@ StateStoreNumbers bench_state_store(std::size_t population,
 
   // ---- Node-based baseline (the layout this replaced) ----
   {
-    std::unordered_map<sip::TransactionKey, std::unique_ptr<FakeTxn>,
-                       sip::TransactionKeyHash>
+    std::unordered_map<check::TransactionKey, std::unique_ptr<FakeTxn>,
+                       check::TransactionKeyHash>
         map;
     const auto make_key = [&](std::size_t i) {
       // What the old dispatch did: materialize an owning TransactionKey
       // (two string copies) per probe.
-      return sip::TransactionKey{branches[i], host_of(i),
+      return check::TransactionKey{branches[i], host_of(i),
                                  sip::Method::kInvite};
     };
     for (std::size_t i = 0; i < population; ++i) {

@@ -37,13 +37,13 @@ const char* server_event_name(ServerEvent event) {
 
 /// The shadow's own copy of the production key: the oracle keeps it for
 /// reports after the transaction is gone, and compares nothing by identity.
-sip::TransactionKey owning_key(const txn::TxnKey& key) {
-  return sip::TransactionKey{key.branch.str(), key.sent_by.str(), key.method};
+TransactionKey owning_key(const txn::TxnKey& key) {
+  return TransactionKey{key.branch.str(), key.sent_by.str(), key.method};
 }
 
 }  // namespace
 
-std::string TxnOracle::describe(const sip::TransactionKey& key) {
+std::string TxnOracle::describe(const TransactionKey& key) {
   std::string out = "txn(";
   out += std::string(sip::to_string(key.method));
   out += " branch=";
@@ -83,7 +83,7 @@ std::string TxnOracle::describe(ServerState state) {
   return "?";
 }
 
-void TxnOracle::check_timer(const sip::TransactionKey& key,
+void TxnOracle::check_timer(const TransactionKey& key,
                             const char* timer_name,
                             const std::optional<SimTime>& expected_at) {
   const SimTime now = sim_.now();

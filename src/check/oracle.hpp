@@ -26,9 +26,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "check/transaction_key.hpp"
 #include "check/violations.hpp"
 #include "sim/simulator.hpp"
-#include "sip/branch.hpp"
 #include "sip/message.hpp"
 #include "txn/tap.hpp"
 #include "txn/timers.hpp"
@@ -83,7 +83,7 @@ class TxnOracle final : public txn::ConformanceTap {
 
   /// Shadow of one client transaction (RFC 3261 17.1).
   struct ClientShadow {
-    sip::TransactionKey key;
+    TransactionKey key;
     txn::TimerConfig timers;
     bool is_invite = false;
     sip::Method method = sip::Method::kInvite;
@@ -99,7 +99,7 @@ class TxnOracle final : public txn::ConformanceTap {
 
   /// Shadow of one server transaction (RFC 3261 17.2).
   struct ServerShadow {
-    sip::TransactionKey key;
+    TransactionKey key;
     txn::TimerConfig timers;
     bool is_invite = false;
     txn::ServerState state = txn::ServerState::kTrying;
@@ -122,14 +122,14 @@ class TxnOracle final : public txn::ConformanceTap {
   void server_respond(ServerShadow& shadow, const sip::Message& response);
 
   /// Validates that a timer event fired exactly at `expected_at`.
-  void check_timer(const sip::TransactionKey& key, const char* timer_name,
+  void check_timer(const TransactionKey& key, const char* timer_name,
                    const std::optional<SimTime>& expected_at);
   /// Compares buffered actual sends against the expected list, then clears
   /// both; reports any mismatch with the full context string.
   template <typename Shadow>
   void check_sends(Shadow& shadow, const char* event_name);
 
-  [[nodiscard]] static std::string describe(const sip::TransactionKey& key);
+  [[nodiscard]] static std::string describe(const TransactionKey& key);
   [[nodiscard]] static std::string describe(const Send& send);
   [[nodiscard]] static std::string describe(txn::ClientState state);
   [[nodiscard]] static std::string describe(txn::ServerState state);

@@ -39,6 +39,9 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
       config_(std::move(config)),
       host_(config_.host),
       own_uri_("", host_),
+      host_text_(config_.host),
+      retry_after_text_(std::to_string(
+          static_cast<int>(config_.overload.retry_after_s + 0.5))),
       cpu_(sim, config_.cpu_capacity),
       txns_(sim, config_.timers),
       auth_(config_.auth_realm.empty() ? config_.host : config_.auth_realm,
@@ -207,7 +210,7 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
   // Route-set handling (RFC 3261 16.4): strip our own Route entry, then
   // prefer the remaining route set over request-URI routing.
   if (!fwd.routes().empty() && fwd.routes().front().host() == host_) {
-    fwd.routes().erase(fwd.routes().begin());
+    fwd.pop_route();
   }
 
   Address target;
@@ -349,11 +352,11 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
   if (stateful) {
     if (ctx.already_stateful) ++stats_.double_stateful;
     fwd.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
-    fwd.set_header(std::string(kStatefulMarkHeader), config_.host);
+    fwd.set_header(std::string(kStatefulMarkHeader), host_text_);
     if (dialog_mode) {
       if (msg->method() == sip::Method::kInvite) {
         dialogs_.create_early(fwd, sim_.now());
-        fwd.record_routes().insert(fwd.record_routes().begin(), own_uri_);
+        fwd.prepend_record_route(own_uri_);
       } else {
         (void)dialogs_.match(*msg);
       }
@@ -409,7 +412,7 @@ void ProxyServer::execute_stateful_forward(Address from, sip::MessagePtr msg,
 
   if (msg->method() == sip::Method::kInvite) {
     auto trying = sip::Message::response(*msg, sip::status::kTrying);
-    trying.set_header("X-Stateful-At", config_.host);
+    trying.set_header("X-Stateful-At", host_text_);
     stamp_oc(trying);
     server_txn.respond(std::move(trying).finish());
     ++stats_.generated_100;
@@ -609,10 +612,7 @@ void ProxyServer::respond_overload_503(const sip::Message& req, Address to,
   // advertised rate, and stacking an on/off generator pause on top of rate
   // control re-creates the oscillation RFC 7339 exists to avoid.
   if (with_retry_after) {
-    response.set_header(
-        "Retry-After",
-        std::to_string(
-            static_cast<int>(config_.overload.retry_after_s + 0.5)));
+    response.set_header("Retry-After", retry_after_text_);
   }
   stamp_oc(response);
   auto ptr = std::move(response).finish();

@@ -266,10 +266,14 @@ class ProxyServer {
   RouteTable routes_;
   std::unique_ptr<StatePolicy> policy_;
   ProxyConfig config_;
-  /// This proxy's host, interned once, and the URI naming it (pushed as
-  /// Record-Route): the forward path copies these and never interns text.
+  /// This proxy's host, interned once, the URI naming it (pushed as
+  /// Record-Route) and the header text it stamps (X-Stateful, X-Stateful-At
+  /// and the Retry-After of its 503s): the forward path copies these and
+  /// never builds text.
   sip::Token host_;
   sip::Uri own_uri_;
+  sip::SharedText host_text_;
+  sip::SharedText retry_after_text_;
 
   sim::CpuQueue cpu_;
   txn::TransactionManager txns_;

@@ -153,6 +153,9 @@ class Network {
   /// Sets the default link characteristics used where no per-pair link is
   /// configured.
   void set_default_link(LinkParams params) { default_link_ = params; }
+  [[nodiscard]] const LinkParams& default_link() const {
+    return default_link_;
+  }
 
   /// Sets a directed per-pair link override.
   void set_link(Address from, Address to, LinkParams params) {

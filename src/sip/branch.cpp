@@ -36,25 +36,6 @@ std::uint64_t txn_key_hash(std::string_view branch, std::string_view sent_by,
   return h;
 }
 
-std::size_t TransactionKeyHash::operator()(
-    const TransactionKey& key) const noexcept {
-  return static_cast<std::size_t>(
-      txn_key_hash(key.branch, key.sent_by, key.method));
-}
-
-TransactionKey server_key(const Message& req) {
-  const Via& via = req.top_via();
-  Method method = req.method();
-  if (method == Method::kAck) method = Method::kInvite;
-  return TransactionKey{via.branch.str(), via.sent_by.str(), method};
-}
-
-TransactionKey client_key(const Message& resp) {
-  const Via& via = resp.top_via();
-  Method method = resp.cseq().method;
-  return TransactionKey{via.branch.str(), via.sent_by.str(), method};
-}
-
 TxnProbe key_for_request(const Message& req) {
   const Via& via = req.top_via();
   Method method = req.method();

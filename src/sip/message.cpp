@@ -54,58 +54,103 @@ Message Message::response(const Message& req, int status_code,
   msg.cseq_ = req.cseq_;
   // Record-Route is mirrored into responses so the caller learns the
   // dialog route set (RFC 3261 16.7/12.1.1).
-  msg.record_routes_ = req.record_routes_;
+  if (!req.record_routes().empty()) {
+    msg.mutable_cold().record_routes = req.record_routes();
+  }
   return msg;
+}
+
+const ColdHeaders& Message::no_cold_headers() {
+  static const ColdHeaders none;
+  return none;
+}
+
+ColdHeaders& Message::mutable_cold() {
+  if (cold_ == nullptr) {
+    cold_ = std::allocate_shared<ColdHeaders>(
+        MessagePoolAllocator<ColdHeaders>{});
+  } else if (cold_.use_count() != 1) {
+    cold_ = std::allocate_shared<ColdHeaders>(
+        MessagePoolAllocator<ColdHeaders>{}, *cold_);
+  }
+  return *cold_;
+}
+
+void Message::drop_cold_if_empty() {
+  if (cold_ != nullptr && cold_->empty()) cold_.reset();
+}
+
+void Message::set_routes(RouteList routes) {
+  if (routes.empty() && cold_ == nullptr) return;
+  mutable_cold().routes = std::move(routes);
+  drop_cold_if_empty();
+}
+
+void Message::pop_route() {
+  RouteList& routes = mutable_cold().routes;
+  routes.erase(routes.begin());
+  drop_cold_if_empty();
+}
+
+void Message::prepend_record_route(Uri uri) {
+  RouteList& record_routes = mutable_cold().record_routes;
+  record_routes.insert(record_routes.begin(), std::move(uri));
 }
 
 std::optional<std::string_view> Message::header(
     std::string_view name) const {
-  for (const auto& [key, value] : extra_) {
-    if (key == name) return std::string_view(value);
+  for (const auto& [key, value] : extension_headers()) {
+    if (key == name) return value.view();
   }
   return std::nullopt;
 }
 
-void Message::set_header(std::string name, std::string value) {
-  for (auto& [key, existing] : extra_) {
+void Message::set_header(std::string name, SharedText value) {
+  HeaderList& extra = mutable_cold().extra;
+  for (auto& [key, existing] : extra) {
     if (key == name) {
       existing = std::move(value);
       return;
     }
   }
-  extra_.emplace_back(std::move(name), std::move(value));
+  extra.emplace_back(std::move(name), std::move(value));
 }
 
 void Message::remove_header(std::string_view name) {
-  auto* keep = extra_.begin();
-  for (auto& entry : extra_) {
+  if (!header(name)) return;
+  HeaderList& extra = mutable_cold().extra;
+  auto* keep = extra.begin();
+  for (auto& entry : extra) {
     if (entry.first != name) {
       if (keep != &entry) *keep = std::move(entry);
       ++keep;
     }
   }
-  while (extra_.end() != keep) extra_.pop_back();
+  while (extra.end() != keep) extra.pop_back();
+  drop_cold_if_empty();
 }
 
 std::size_t Message::header_count() const {
+  const ColdHeaders& cold = this->cold();
   std::size_t n = vias_.size() + 4;  // From, To, Call-ID, CSeq
-  n += routes_.size() + record_routes_.size() + extra_.size();
-  if (contact_) ++n;
+  n += cold.routes.size() + cold.record_routes.size() + cold.extra.size();
+  if (cold.contact) ++n;
   return n;
 }
 
 std::string Message::to_wire() const {
+  const ColdHeaders& cold = this->cold();
   // Size the buffer once: per-header constants cover the literal parts
   // ("Via: ", ";branch=", CRLFs...), variable parts are summed exactly for
   // the repeated headers and estimated generously for the name-addr lines.
   std::size_t estimate = 192 + body_.size() + call_id_.size() +
-                         reason_.size() + 96 * (2 + (contact_ ? 1 : 0));
+                         reason_.size() + 96 * (2 + (cold.contact ? 1 : 0));
   for (const Via& via : vias_) {
     estimate += 16 + via.protocol.size() + via.sent_by.size() +
                 via.branch.size() + (via.oc_rate >= 0.0 ? 24 : 0);
   }
-  estimate += 64 * (routes_.size() + record_routes_.size());
-  for (const auto& [key, value] : extra_) {
+  estimate += 64 * (cold.routes.size() + cold.record_routes.size());
+  for (const auto& [key, value] : cold.extra) {
     estimate += key.size() + value.size() + 4;
   }
   std::string out;
@@ -142,12 +187,12 @@ std::string Message::to_wire() const {
     }
     out += "\r\n";
   }
-  for (const Uri& route : record_routes_) {
+  for (const Uri& route : cold.record_routes) {
     out += "Record-Route: <";
     out += route.to_string();
     out += ">\r\n";
   }
-  for (const Uri& route : routes_) {
+  for (const Uri& route : cold.routes) {
     out += "Route: <";
     out += route.to_string();
     out += ">\r\n";
@@ -162,15 +207,15 @@ std::string Message::to_wire() const {
   out += ' ';
   out += to_string(cseq_.method);
   out += "\r\n";
-  if (contact_) {
-    append_name_addr(out, "Contact", *contact_);
+  if (cold.contact) {
+    append_name_addr(out, "Contact", *cold.contact);
   }
   if (is_request_) {
     out += "Max-Forwards: ";
     out += std::to_string(max_forwards_);
     out += "\r\n";
   }
-  for (const auto& [key, value] : extra_) {
+  for (const auto& [key, value] : cold.extra) {
     out += key;
     out += ": ";
     out += value;

@@ -10,17 +10,34 @@
 //   - Token (intern.hpp): bounded vocabularies — Via protocol and sent-by,
 //     URI scheme and host. A copy is a pointer copy.
 //   - SharedText (shared_text.hpp): per-call or per-transaction unique text
-//     that never changes once built — Call-ID, Via branch, body. A copy is
-//     an atomic refcount increment.
+//     that never changes once built — Call-ID, Via branch, body — and
+//     extension-header values, which a proxy builds once and stamps on
+//     every message it marks. A copy is an atomic refcount increment.
 //   - std::string: short or rare text — tags, display names, URI users,
-//     reason phrases, extension headers — that fits the small-string
+//     reason phrases, extension-header names — that fits the small-string
 //     buffer on the run path or is not on it.
+//
+// The fields split into a hot part and a cold block. The hot part holds
+// what every message carries: the request and status lines, the Via stack,
+// From, To, Call-ID, CSeq, Max-Forwards and the body, plus one pointer
+// (616 bytes; 632 with the shared_ptr control block in a pooled block).
+// The cold block (ColdHeaders, 624 bytes) holds the headers most messages
+// never carry: Contact, Route, Record-Route and extension headers. The
+// pointer is null while all four are empty, so a 200 to a BYE — the
+// message a lingering server transaction keeps for Timer J — has none.
+// Copies share the cold block the way SharedText is shared; the first
+// mutation of a shared block detaches it (copies it, or creates it), and
+// only the mutators below do so: every read goes through a const accessor
+// and never detaches. Values never depend on where the bytes live, so the
+// split changes no behaviour and no digest.
+//
 // Header lists live in small-inline vectors (no malloc for the common 1–4
 // entry counts), and the Via stack is stored bottom-first so
 // push_via/pop_via — the per-hop operations — are O(1) at the back instead
-// of O(n) front inserts. finish() allocates the shared block from a
-// freelist-backed pool (see message_pool.hpp), so a warm forward path
-// creates and releases messages without the allocator.
+// of O(n) front inserts. finish() allocates the shared block, and a
+// mutation the cold block, from a freelist-backed pool (see
+// message_pool.hpp), so a warm forward path creates and releases messages
+// without the allocator.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +98,23 @@ struct CSeq {
   friend bool operator==(const CSeq&, const CSeq&) = default;
 };
 
+using RouteList = SmallVector<Uri, 2>;
+using HeaderList = SmallVector<std::pair<std::string, SharedText>, 2>;
+
+/// The headers most messages never carry (see the file comment). Shared
+/// between copies of a message; a Message holds none while all are empty.
+struct ColdHeaders {
+  std::optional<NameAddr> contact;
+  RouteList routes;
+  RouteList record_routes;
+  HeaderList extra;
+
+  [[nodiscard]] bool empty() const {
+    return !contact && routes.empty() && record_routes.empty() &&
+           extra.empty();
+  }
+};
+
 class Message;
 using MessagePtr = std::shared_ptr<const Message>;
 
@@ -91,8 +125,6 @@ class Message {
   /// (most recent hop). Iteration order is bottom-to-top; to_wire() emits
   /// top-first as the wire format requires.
   using ViaList = SmallVector<Via, 4>;
-  using RouteList = SmallVector<Uri, 2>;
-  using HeaderList = SmallVector<std::pair<std::string, std::string>, 2>;
 
   /// Creates a request with the mandatory header skeleton.
   [[nodiscard]] static Message request(Method method, Uri request_uri,
@@ -136,30 +168,43 @@ class Message {
   [[nodiscard]] const CSeq& cseq() const { return cseq_; }
 
   [[nodiscard]] const std::optional<NameAddr>& contact() const {
-    return contact_;
+    return cold().contact;
   }
-  void set_contact(NameAddr contact) { contact_ = std::move(contact); }
+  void set_contact(NameAddr contact) {
+    mutable_cold().contact = std::move(contact);
+  }
 
   [[nodiscard]] int max_forwards() const { return max_forwards_; }
   void set_max_forwards(int mf) { max_forwards_ = mf; }
   void decrement_max_forwards() { --max_forwards_; }
 
   // -- Routing headers -----------------------------------------------------
-  [[nodiscard]] const RouteList& routes() const { return routes_; }
-  [[nodiscard]] RouteList& routes() { return routes_; }
+  [[nodiscard]] const RouteList& routes() const { return cold().routes; }
   [[nodiscard]] const RouteList& record_routes() const {
-    return record_routes_;
+    return cold().record_routes;
   }
-  [[nodiscard]] RouteList& record_routes() { return record_routes_; }
+  /// Replaces the Route set (an empty set makes no cold block).
+  void set_routes(RouteList routes);
+  /// Removes the first Route entry; precondition: routes() is not empty.
+  void pop_route();
+  /// Inserts a Record-Route entry at the top (RFC 3261 16.6 step 4).
+  void prepend_record_route(Uri uri);
 
   // -- Extension headers ---------------------------------------------------
   /// First value of an extension header, if present.
   [[nodiscard]] std::optional<std::string_view> header(
       std::string_view name) const;
   /// Sets (replacing any existing value of) an extension header.
-  void set_header(std::string name, std::string value);
+  void set_header(std::string name, SharedText value);
+  /// Removes every entry named `name`; detaches nothing when there is none.
   void remove_header(std::string_view name);
-  [[nodiscard]] const HeaderList& extension_headers() const { return extra_; }
+  [[nodiscard]] const HeaderList& extension_headers() const {
+    return cold().extra;
+  }
+
+  /// The shared cold-header block, or null when the message carries none
+  /// of its headers (tests pin the sharing and the null case).
+  [[nodiscard]] const ColdHeaders* cold_headers() const { return cold_.get(); }
 
   // -- Body ----------------------------------------------------------------
   [[nodiscard]] const SharedText& body() const { return body_; }
@@ -187,17 +232,29 @@ class Message {
   int status_code_ = 0;
   std::string reason_;
 
+  /// The cold headers, or an empty block when there are none.
+  [[nodiscard]] const ColdHeaders& cold() const {
+    return cold_ != nullptr ? *cold_ : no_cold_headers();
+  }
+  [[nodiscard]] static const ColdHeaders& no_cold_headers();
+  /// The cold block, made unique to this message first: created when
+  /// there is none, copied when another message shares it. Like
+  /// shared_ptr::use_count, the uniqueness check synchronizes with no
+  /// other thread, so a message whose block another thread's message
+  /// shared must reach this thread through a happens-before edge (a run's
+  /// messages never leave its thread).
+  ColdHeaders& mutable_cold();
+  /// Drops the cold block once a mutation has emptied it.
+  void drop_cold_if_empty();
+
   ViaList vias_;  // bottom-first; top Via is vias_.back()
   NameAddr from_;
   NameAddr to_;
   SharedText call_id_;
   CSeq cseq_;
-  std::optional<NameAddr> contact_;
   int max_forwards_ = 70;
-  RouteList routes_;
-  RouteList record_routes_;
-  HeaderList extra_;
   SharedText body_;
+  std::shared_ptr<ColdHeaders> cold_;  // null while every cold header is empty
 
   friend class Parser;
 };

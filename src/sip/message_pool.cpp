@@ -6,9 +6,10 @@
 namespace svk::sip {
 namespace {
 
-// allocate_shared<const Message> produces exactly one size class per
-// libstdc++ version; a second class appears if anything else ever uses the
-// allocator. Linear scan over this many bins is cheaper than any map.
+// allocate_shared<const Message> and allocate_shared<ColdHeaders> produce
+// one size class each per libstdc++ version; another class appears only if
+// anything else ever uses the allocator. Linear scan over this many bins is
+// cheaper than any map.
 constexpr std::size_t kMaxBins = 8;
 // Per-bin freelist cap: bounds idle pool memory at kMaxParked blocks per
 // size class per thread while still absorbing the forward path's
@@ -55,6 +56,7 @@ namespace detail {
 
 void* pool_allocate(std::size_t bytes) {
   Pool& pool = local_pool();
+  pool.stats.bytes_outstanding += static_cast<std::int64_t>(bytes);
   Bin* bin = pool.find(bytes);
   if (bin != nullptr && !bin->free.empty()) {
     void* p = bin->free.back();
@@ -68,6 +70,7 @@ void* pool_allocate(std::size_t bytes) {
 
 void pool_deallocate(void* p, std::size_t bytes) noexcept {
   Pool& pool = local_pool();
+  pool.stats.bytes_outstanding -= static_cast<std::int64_t>(bytes);
   Bin* bin = pool.find(bytes);
   if (bin != nullptr && bin->free.size() < kMaxParked) {
     bin->free.push_back(p);

@@ -6,6 +6,8 @@
 // allocate_shared block (control block + Message payload, one contiguous
 // allocation) through a thread-local freelist binned by size class: after
 // warmup, finish() and the final MessagePtr release touch no allocator.
+// A message's shared cold-header block (message.hpp) comes from the same
+// pool in its own size class.
 //
 // Thread notes: the freelist is thread-local and never shared, so no locks.
 // A block freed on a different thread than it was allocated on simply joins
@@ -26,6 +28,9 @@ struct MessagePoolStats {
   std::uint64_t reuses = 0;        // blocks served from the freelist
   std::uint64_t returns = 0;       // blocks parked back on the freelist
   std::uint64_t releases = 0;      // blocks given back to operator delete
+  // Bytes of the blocks handed out and not yet taken back: added on
+  // allocate, subtracted on deallocate (whether parked or released).
+  std::int64_t bytes_outstanding = 0;
 };
 
 /// This thread's pool counters.

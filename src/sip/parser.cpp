@@ -288,7 +288,7 @@ Result<Message> Parser::parse(std::string_view wire) {
     } else if (name == "Contact" || name == "m") {
       auto na = parse_name_addr(value);
       if (!na) return na.error();
-      msg.contact_ = std::move(na).value();
+      msg.set_contact(std::move(na).value());
     } else if (name == "Max-Forwards") {
       if (!parse_int(value, msg.max_forwards_)) {
         return make_error("parse: bad Max-Forwards");
@@ -299,7 +299,7 @@ Result<Message> Parser::parse(std::string_view wire) {
       for (const std::string_view part : parts) {
         auto uri = parse_bracketed_uri(part);
         if (!uri) return uri.error();
-        msg.routes_.push_back(std::move(uri).value());
+        msg.mutable_cold().routes.push_back(std::move(uri).value());
       }
     } else if (name == "Record-Route") {
       parts.clear();
@@ -307,7 +307,8 @@ Result<Message> Parser::parse(std::string_view wire) {
       for (const std::string_view part : parts) {
         auto uri = parse_bracketed_uri(part);
         if (!uri) return uri.error();
-        msg.record_routes_.push_back(std::move(uri).value());
+        msg.mutable_cold().record_routes.push_back(
+            std::move(uri).value());
       }
     } else if (name == "Content-Length" || name == "l") {
       int length = 0;
@@ -316,7 +317,8 @@ Result<Message> Parser::parse(std::string_view wire) {
       }
       content_length = static_cast<std::size_t>(length);
     } else {
-      msg.extra_.emplace_back(std::string(name), std::string(value));
+      msg.mutable_cold().extra.emplace_back(std::string(name),
+                                           SharedText(value));
     }
   }
 

@@ -24,7 +24,7 @@ TxnKey server_key_of(const sip::Message& request) {
 
 /// Hop-by-hop ACK for a non-2xx final response (RFC 3261 17.1.1.3): same
 /// branch/top Via as the INVITE, To copied from the response (it carries the
-/// UAS tag).
+/// UAS tag), and the INVITE's Route set (RFC 3261 17.1.1.3).
 sip::MessagePtr build_non2xx_ack(const sip::Message& invite,
                                  const sip::Message& response) {
   sip::Message ack = sip::Message::request(
@@ -33,6 +33,7 @@ sip::MessagePtr build_non2xx_ack(const sip::Message& invite,
       sip::CSeq{invite.cseq().seq, sip::Method::kAck});
   ack.push_via(invite.top_via());
   ack.set_max_forwards(invite.max_forwards());
+  ack.set_routes(invite.routes());
   return std::move(ack).finish();
 }
 

@@ -247,7 +247,7 @@ void Uac::send_ack(Call& call, const sip::Message& ok) {
       sip::NameAddr{"", caller_uri_, call.from_tag}, ok.to(), call.call_id,
       sip::CSeq{1, sip::Method::kAck});
   ack.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
-  ack.routes() = call.route_set;
+  ack.set_routes(call.route_set);
   auto ack_ptr = std::move(ack).finish();
   call.ack = ack_ptr;
   network_.send(config_.address, config_.first_hop, ack_ptr);
@@ -267,7 +267,7 @@ void Uac::send_bye(const sip::SharedText& call_id) {
       call.call_id, sip::CSeq{2, sip::Method::kBye});
   bye.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
   bye.set_max_forwards(config_.max_forwards);
-  bye.routes() = call.route_set;
+  bye.set_routes(call.route_set);
   maybe_attach_credentials(bye);
   auto bye_ptr = std::move(bye).finish();
 

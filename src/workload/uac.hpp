@@ -84,7 +84,7 @@ class Uac {
     SimTime invite_sent;
     sip::MessagePtr invite;
     sip::MessagePtr ack;             // replayed on retransmitted 200s
-    sip::Message::RouteList route_set;  // reversed Record-Route from the 200
+    sip::RouteList route_set;  // reversed Record-Route from the 200
     sip::Uri remote_target;          // 200's Contact
     std::string to_tag;
     bool established = false;

@@ -18,7 +18,12 @@
 //   * overload     — the 503 paths of both overload controls run clean;
 //   * CANCEL/REGISTER — abandoned calls (CANCEL, 487, hop-by-hop ACK) and
 //                    a forwarded REGISTER run clean through stateful and
-//                    stateless proxies.
+//                    stateless proxies;
+//   * lossy links  — the overload and CANCEL/REGISTER runs again with 5%
+//                    i.i.d. datagram loss, so the retransmission paths
+//                    (Timer A/E/G resends, Completed-state replays of held
+//                    responses, INVITE-client re-ACKs built from the
+//                    retained request) run under the oracle too.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -26,6 +31,7 @@
 
 #include "check/run_checker.hpp"
 #include "proxy/proxy.hpp"
+#include "sim/network.hpp"
 #include "workload/runner.hpp"
 #include "workload/scenarios.hpp"
 #include "workload/testbed.hpp"
@@ -43,6 +49,28 @@ ScenarioOptions scaled(PolicyKind policy) {
   options.capacity_scale = {kScale, kScale, kScale, kScale};
   options.controller_period = SimTime::seconds(0.5);
   return options;
+}
+
+// I.i.d. per-datagram drop of the lossy runs. At 5% the two lossy tests
+// run about 1900 Timer A/E resends, 360 replays of held 200s, 38 Timer G
+// resends and 19 re-ACKs; at 1% no hop-by-hop ACK happens to be lost, so
+// no INVITE client ever re-ACKs.
+constexpr double kLinkLoss = 0.05;
+
+/// Drops `loss` of the datagrams on every default link of `bed`.
+void add_link_loss(TestBed& bed, double loss) {
+  sim::LinkParams link = bed.network().default_link();
+  link.loss_probability = loss;
+  bed.network().set_default_link(link);
+}
+
+/// `factory` with link loss added to every bed it builds.
+BedFactory with_link_loss(BedFactory factory, double loss) {
+  return [factory = std::move(factory), loss](double offered) {
+    auto bed = factory(offered);
+    add_link_loss(*bed, loss);
+    return bed;
+  };
 }
 
 /// Runs a factory-built bed under load, stops, drains every SIP timer
@@ -140,10 +168,9 @@ TEST(ConformanceTest, DialogStatefulChainUnderOverloadDrainsToZeroDialogs) {
   EXPECT_GT(refused, 0u);
 }
 
-TEST(ConformanceTest, OverloadPoliciesAreClean) {
-  // The half-capacity-exit chain past its knee, under each 503 control:
-  // local-gate and throttled 503s, Retry-After pauses and oc adverts all
-  // flow past the oracle and must stay RFC-clean.
+/// The half-capacity-exit chain past its knee, under each 503 control and
+/// state policy, with `loss` of the datagrams dropped.
+void expect_clean_overload_runs(double loss) {
   for (const overload::ControlKind kind :
        {overload::ControlKind::kLocalOccupancy,
         overload::ControlKind::kHopByHopRate}) {
@@ -159,31 +186,55 @@ TEST(ConformanceTest, OverloadPoliciesAreClean) {
       check::CheckOptions check_options;
       check_options.expect_single_stateful =
           policy == PolicyKind::kServartuka;
-      const auto bed = expect_clean_checked_run(series_chain(2, options),
-                                                145.0, 8.0, check_options);
+      const auto bed = expect_clean_checked_run(
+          with_link_loss(series_chain(2, options), loss), 145.0, 8.0,
+          check_options);
       std::uint64_t sent_503 = 0;
       for (const auto& proxy : bed->proxies()) {
         sent_503 += proxy->stats().rejected_503 + proxy->stats().throttled_503;
       }
       EXPECT_GT(sent_503, 0u);
+      if (loss > 0.0) {
+        EXPECT_GT(bed->network().stats().dropped_loss, 0u);
+        std::uint64_t resent = 0;
+        for (const auto& uac : bed->uacs()) {
+          resent += uac->metrics().retransmissions;
+        }
+        EXPECT_GT(resent, 0u);
+      }
     }
   }
+}
+
+TEST(ConformanceTest, OverloadPoliciesAreClean) {
+  // Local-gate and throttled 503s, Retry-After pauses and oc adverts all
+  // flow past the oracle and must stay RFC-clean.
+  expect_clean_overload_runs(0.0);
+}
+
+TEST(ConformanceTest, OverloadPoliciesAreCleanUnderLinkLoss) {
+  // The same runs with lost datagrams: requests are resent on Timer A/E,
+  // Completed servers replay their held finals, and INVITE clients re-ACK
+  // retransmitted ones.
+  expect_clean_overload_runs(kLinkLoss);
 }
 
 // ---------------------------------------------------------------------------
 // CANCEL and REGISTER: the Completed/Confirmed paths the call mix never takes
 // ---------------------------------------------------------------------------
 
-TEST(ConformanceTest, CancelAndRegisterAreClean) {
-  // Two proxies in series; one keeps the call's transaction state, the
-  // other forwards statelessly. The callee registers through the entry,
-  // which forwards the REGISTER to the exit (the registrar). Half the
-  // callers abandon before the 800 ms answer: their CANCEL is answered 200
-  // (non-INVITE server Completed), the INVITE 487 (INVITE server Completed,
-  // then Confirmed by the ACK; INVITE client Completed re-ACKs).
+/// Two proxies in series; one keeps the call's transaction state, the
+/// other forwards statelessly. The callee registers through the entry,
+/// which forwards the REGISTER to the exit (the registrar). Half the
+/// callers abandon before the 800 ms answer: their CANCEL is answered 200
+/// (non-INVITE server Completed), the INVITE 487 (INVITE server Completed,
+/// then Confirmed by the ACK; INVITE client Completed re-ACKs). `loss` of
+/// the datagrams are dropped.
+void expect_clean_cancel_and_register(double loss) {
   for (const bool entry_stateful : {true, false}) {
     SCOPED_TRACE(entry_stateful ? "stateful entry" : "stateless entry");
     auto bed = std::make_unique<TestBed>(7);
+    add_link_loss(*bed, loss);
     const Address entry = bed->declare_host("proxy0.test");
     const Address exit = bed->declare_host("proxy1.test");
     for (const bool is_entry : {true, false}) {
@@ -221,7 +272,8 @@ TEST(ConformanceTest, CancelAndRegisterAreClean) {
 
     check::RunChecker& checker = bed->enable_checking();
     uas.register_with(entry, "user0@example.com", SimTime::seconds(3600.0));
-    bed->sim().run_until(SimTime::seconds(0.5));
+    // A lost REGISTER or 200 is resent on Timer E (500 ms, then 1 s).
+    bed->sim().run_until(SimTime::seconds(loss > 0.0 ? 2.0 : 0.5));
     EXPECT_EQ(uas.registrations_confirmed(), 1u);
     bed->start_load();
     bed->sim().run_until(SimTime::seconds(8.0));
@@ -234,9 +286,25 @@ TEST(ConformanceTest, CancelAndRegisterAreClean) {
     EXPECT_EQ(checker.oracle().live_shadows(), 0u);
     EXPECT_GT(uac.metrics().calls_cancelled, 20u);
     EXPECT_GT(uac.metrics().calls_completed, 20u);
-    EXPECT_EQ(uac.metrics().calls_failed, 0u);
-    EXPECT_EQ(uas.metrics().cancels_received, uac.metrics().calls_cancelled);
+    if (loss == 0.0) {
+      EXPECT_EQ(uac.metrics().calls_failed, 0u);
+      EXPECT_EQ(uas.metrics().cancels_received,
+                uac.metrics().calls_cancelled);
+    } else {
+      EXPECT_GT(bed->network().stats().dropped_loss, 0u);
+      EXPECT_GT(uac.metrics().retransmissions, 0u);
+    }
   }
+}
+
+TEST(ConformanceTest, CancelAndRegisterAreClean) {
+  expect_clean_cancel_and_register(0.0);
+}
+
+TEST(ConformanceTest, CancelAndRegisterAreCleanUnderLinkLoss) {
+  // Lost CANCELs, 487s, ACKs and 200s are resent or replayed: Completed
+  // servers replay their held responses, INVITE clients re-ACK.
+  expect_clean_cancel_and_register(kLinkLoss);
 }
 
 // ---------------------------------------------------------------------------

@@ -83,6 +83,7 @@ TEST(MessageAllocTest, FieldsOutgrowTheSmallStringBuffer) {
 
 TEST(MessageAllocTest, WarmForwardCopyMakesNoHeapAllocation) {
   const MessagePtr invite = make_uac_invite();
+  // The copy shares the cold block (the Contact) instead of copying it.
   // The hop's Via is built once, as ProxyServer builds its host Token once;
   // the branch is new per transaction and made outside the copy.
   const Via hop{udp_protocol(), Token("proxy1.example.net"),
@@ -101,6 +102,39 @@ TEST(MessageAllocTest, WarmForwardCopyMakesNoHeapAllocation) {
   const std::uint64_t allocs = t_heap_allocs - before;
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(window.front()->vias().size(), 3u);
+  EXPECT_EQ(window.front()->cold_headers(), invite->cold_headers());
+}
+
+TEST(MessageAllocTest, WarmStatefulInviteForwardMakesNoHeapAllocation) {
+  // A dialog-stateful proxy's forward: the copy detaches the shared cold
+  // block (the UAC's Contact) to add the stateful mark and Record-Route.
+  // The new block comes from the message pool; the mark's text, the
+  // proxy's URI and the hop Via are built once, as ProxyServer builds them.
+  const MessagePtr invite = make_uac_invite();
+  const Token proxy_host("proxy1.example.net");
+  const SharedText mark(proxy_host.view());
+  const Uri own_uri("", proxy_host);
+  const Via hop{udp_protocol(), proxy_host, BranchGenerator(2).next()};
+  std::vector<MessagePtr> window(kWindow);
+  const auto forward_one = [&](int i) {
+    Message fwd = clone(*invite);
+    fwd.push_via(hop);
+    fwd.decrement_max_forwards();
+    fwd.set_header("X-Stateful", mark);
+    fwd.prepend_record_route(own_uri);
+    window[static_cast<std::size_t>(i) % kWindow] = std::move(fwd).finish();
+  };
+  for (int i = 0; i < kWarmup; ++i) forward_one(i);
+  const std::uint64_t before = t_heap_allocs;
+  for (int i = 0; i < kMeasured; ++i) forward_one(i);
+  const std::uint64_t allocs = t_heap_allocs - before;
+  EXPECT_EQ(allocs, 0u);
+  const Message& fwd = *window.front();
+  EXPECT_NE(fwd.cold_headers(), invite->cold_headers());
+  EXPECT_EQ(fwd.header("X-Stateful"), "proxy1.example.net");
+  EXPECT_EQ(fwd.record_routes().front().host(), "proxy1.example.net");
+  EXPECT_EQ(fwd.contact(), invite->contact());
+  EXPECT_GT(fwd.header("X-Stateful")->size(), std::string().capacity());
 }
 
 TEST(MessageAllocTest, WarmResponseFromRequestMakesNoHeapAllocation) {
@@ -109,7 +143,7 @@ TEST(MessageAllocTest, WarmResponseFromRequestMakesNoHeapAllocation) {
   at_uas.push_via(Via{udp_protocol(), Token("proxy1.example.net"),
                       stateless_branch(at_uas.top_via().branch,
                                        "proxy1.example.net")});
-  at_uas.record_routes().push_back(Uri("", "proxy1.example.net"));
+  at_uas.prepend_record_route(Uri("", "proxy1.example.net"));
   const MessagePtr invite = std::move(at_uas).finish();
 
   std::vector<MessagePtr> window(kWindow);

@@ -69,7 +69,7 @@ sip::Message random_valid_message(Rng& rng, int i) {
     msg.set_header("X-Stateful", "p" + std::to_string(rng.uniform_int(4)));
   }
   if (rng.bernoulli(0.3)) {
-    msg.routes().push_back(sip::Uri("", "route.example"));
+    msg.set_routes({sip::Uri("", "route.example")});
   }
   if (rng.bernoulli(0.3)) msg.set_body(random_bytes(rng, 64));
   if (!is_request) {

@@ -123,6 +123,24 @@ TEST(SharedTextTest, MessageCopiesAndResponsesShareHeaderText) {
   EXPECT_EQ(invite.call_id().use_count(), 3u);
 }
 
+TEST(SharedTextTest, ExtensionHeaderValuesShareOneBlock) {
+  // A proxy builds its stateful mark once; every message it marks, and
+  // every copy that detaches the cold block to add a header, shares it.
+  const SharedText mark("proxy0.example.net");
+  Message invite = Message::request(
+      Method::kInvite, Uri("user0", "callee.example.net"),
+      NameAddr{"", Uri("caller", "uac0.caller.example.net"), "uac1"},
+      NameAddr{"", Uri("user0", "callee.example.net"), ""},
+      SharedText(kCallId), CSeq{1, Method::kInvite});
+  invite.set_header("X-Stateful", mark);
+  Message detached = clone(invite);
+  detached.set_header("X-Other", "1");
+  ASSERT_NE(detached.cold_headers(), invite.cold_headers());
+  EXPECT_EQ(detached.header("X-Stateful")->data(), mark.data());
+  EXPECT_EQ(invite.header("X-Stateful")->data(), mark.data());
+  EXPECT_EQ(mark.use_count(), 3u);
+}
+
 TEST(SharedTextTest, HashMatchesStdStringHash) {
   // Containers re-keyed from std::string keep their bucket order.
   const SharedText text(kCallId);
@@ -134,6 +152,9 @@ TEST(SharedTextTest, HashMatchesStdStringHash) {
 }
 
 // Four threads copy and drop headers of the same shared messages at once.
+// The messages carry Contact, Route, Record-Route and an extension header,
+// so the copies share cold-header blocks too; half the copies detach theirs
+// by adding a header while other threads still share the original block.
 // Every refcount must balance (no leak, no double free: ASan/TSan builds
 // flag either) and the text must never tear.
 TEST(SharedTextTest, ConcurrentCopyAndDestroyOfSharedMessages) {
@@ -155,9 +176,15 @@ TEST(SharedTextTest, ConcurrentCopyAndDestroyOfSharedMessages) {
     msg.push_via(Via{"SIP/2.0/UDP", "uac0.caller.example.net",
                      branches.next()});
     msg.set_body(body);
+    msg.set_contact(
+        NameAddr{"", Uri("caller", "uac0.caller.example.net"), ""});
+    msg.set_routes({Uri("", "proxy0.example.net")});
+    msg.prepend_record_route(Uri("", "edge.example.net"));
+    msg.set_header("X-Origin", "uac0.caller.example.net");
     shared.push_back(std::move(msg).finish());
   }
   const SharedText hop_branch = branches.next();
+  const SharedText mark("proxy0.example.net");
 
   std::atomic<bool> go{false};
   std::atomic<int> torn{0};
@@ -172,9 +199,21 @@ TEST(SharedTextTest, ConcurrentCopyAndDestroyOfSharedMessages) {
             shared[static_cast<std::size_t>((r + t) % kMessages)];
         Message fwd = clone(*src);
         fwd.push_via(Via{"SIP/2.0/UDP", "proxy0.example.net", hop_branch});
+        const bool detach = r % 2 == 0;
+        if (detach) {
+          fwd.set_header("X-Stateful", mark);
+          fwd.pop_route();
+        }
         Message resp = Message::response(fwd, 180);
         if (!resp.call_id().view().starts_with(kCallId) ||
-            resp.body().size() != 0 || fwd.body() != src->body()) {
+            resp.body().size() != 0 || fwd.body() != src->body() ||
+            fwd.contact() != src->contact() ||
+            fwd.record_routes() != src->record_routes() ||
+            resp.record_routes() != src->record_routes() ||
+            fwd.header("X-Origin") != src->header("X-Origin") ||
+            (fwd.cold_headers() == src->cold_headers()) == detach ||
+            fwd.routes().size() != (detach ? 0u : 1u) ||
+            src->routes().size() != 1u) {
           torn.fetch_add(1, std::memory_order_relaxed);
         }
         held.push_back(std::move(fwd).finish());
@@ -194,6 +233,7 @@ TEST(SharedTextTest, ConcurrentCopyAndDestroyOfSharedMessages) {
   }
   EXPECT_EQ(body.use_count(), static_cast<std::uint32_t>(kMessages + 1));
   EXPECT_EQ(hop_branch.use_count(), 1u);
+  EXPECT_EQ(mark.use_count(), 1u);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Unit tests for the SIP stack: URI parsing, message model, wire
-// serialization round-trips, branch generation and transaction keys.
+// serialization round-trips, branch generation and transaction keys (the
+// oracle's owning check::TransactionKey).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "check/transaction_key.hpp"
 #include "common/rng.hpp"
 #include "sip/branch.hpp"
 #include "sip/message.hpp"
@@ -16,6 +20,11 @@
 
 namespace svk::sip {
 namespace {
+
+using check::client_key;
+using check::server_key;
+using check::TransactionKey;
+using check::TransactionKeyHash;
 
 Message make_invite() {
   Message msg = Message::request(
@@ -265,8 +274,134 @@ TEST(MessageTest, HeaderCountReflectsContents) {
   Message msg = make_invite();
   const std::size_t base = msg.header_count();
   msg.set_header("X-A", "1");
-  msg.record_routes().push_back(Uri("", "p1.example.com"));
+  msg.prepend_record_route(Uri("", "p1.example.com"));
   EXPECT_EQ(msg.header_count(), base + 2);
+}
+
+// ---------------------------------------------------------------------------
+// Cold headers: Contact, Route, Record-Route and extension headers live in
+// one block that copies share and the first mutation of a copy detaches.
+// ---------------------------------------------------------------------------
+
+/// An INVITE carrying every cold header.
+Message make_cold_invite() {
+  Message msg = make_invite();  // has a Contact
+  msg.set_routes({Uri("", "p1.example.com"), Uri("", "p2.example.com")});
+  msg.prepend_record_route(Uri("", "p0.example.com"));
+  msg.set_header("X-Stateful", "p0.example.com");
+  return msg;
+}
+
+TEST(ColdHeadersTest, MessageIsHalfSize) {
+  // The hot part plus one pointer: 616 bytes with libstdc++ on x86-64,
+  // against 1272 with the cold headers inline.
+  EXPECT_LE(sizeof(Message), 624u);
+  EXPECT_GE(sizeof(ColdHeaders), 600u);  // what the split moved out
+}
+
+TEST(ColdHeadersTest, CloneSharesTheColdBlock) {
+  const Message original = make_cold_invite();
+  ASSERT_NE(original.cold_headers(), nullptr);
+  Message copy = clone(original);
+  EXPECT_EQ(copy.cold_headers(), original.cold_headers());
+  // Reads through a non-const copy never detach.
+  EXPECT_EQ(copy.routes().size(), 2u);
+  EXPECT_EQ(copy.record_routes().size(), 1u);
+  EXPECT_TRUE(copy.contact().has_value());
+  EXPECT_EQ(copy.header("X-Stateful"), "p0.example.com");
+  EXPECT_EQ(copy.extension_headers().size(), 1u);
+  EXPECT_EQ(copy.cold_headers(), original.cold_headers());
+  // Hot-part mutations leave the block shared.
+  copy.push_via(Via{"SIP/2.0/UDP", "p1.example.com", "z9hG4bK-hop"});
+  copy.decrement_max_forwards();
+  EXPECT_EQ(copy.cold_headers(), original.cold_headers());
+}
+
+TEST(ColdHeadersTest, EachMutatorOnACopyLeavesTheOriginalUnchanged) {
+  const Message original = make_cold_invite();
+  const std::string wire = original.to_wire();
+  const std::vector<std::pair<const char*, void (*)(Message&)>> mutators = {
+      {"set_contact",
+       [](Message& m) {
+         m.set_contact(NameAddr{"", Uri("", "elsewhere.example.com"), ""});
+       }},
+      {"set_routes",
+       [](Message& m) { m.set_routes({Uri("", "p9.example.com")}); }},
+      {"set_routes empty", [](Message& m) { m.set_routes({}); }},
+      {"pop_route", [](Message& m) { m.pop_route(); }},
+      {"prepend_record_route",
+       [](Message& m) { m.prepend_record_route(Uri("", "p9.example.com")); }},
+      {"set_header new", [](Message& m) { m.set_header("X-New", "1"); }},
+      {"set_header replace",
+       [](Message& m) { m.set_header("X-Stateful", "p9.example.com"); }},
+      {"remove_header", [](Message& m) { m.remove_header("X-Stateful"); }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    Message copy = clone(original);
+    mutate(copy);
+    EXPECT_NE(copy.cold_headers(), original.cold_headers());
+    EXPECT_NE(copy.to_wire(), wire);
+    EXPECT_EQ(original.to_wire(), wire);
+  }
+  // A mutation that changes nothing does not detach either.
+  Message copy = clone(original);
+  copy.remove_header("X-Absent");
+  EXPECT_EQ(copy.cold_headers(), original.cold_headers());
+}
+
+TEST(ColdHeadersTest, UnsharedBlockIsMutatedInPlace) {
+  Message msg = make_cold_invite();
+  const ColdHeaders* block = msg.cold_headers();
+  msg.set_header("X-Another", "2");
+  msg.prepend_record_route(Uri("", "p8.example.com"));
+  msg.pop_route();
+  EXPECT_EQ(msg.cold_headers(), block);
+  EXPECT_EQ(msg.record_routes().front().host(), "p8.example.com");
+  EXPECT_EQ(msg.routes().front().host(), "p2.example.com");
+}
+
+TEST(ColdHeadersTest, MessagesWithoutColdHeadersCarryNoBlock) {
+  Message bye = Message::request(
+      Method::kBye, Uri("burdell", "cc.gatech.edu"),
+      NameAddr{"", Uri("hal", "us.ibm.com"), "tag-hal"},
+      NameAddr{"", Uri("burdell", "cc.gatech.edu"), "tag-b"}, "call-1",
+      CSeq{2, Method::kBye});
+  bye.push_via(Via{"SIP/2.0/UDP", "uac.us.ibm.com", "z9hG4bK-bye"});
+  EXPECT_EQ(bye.cold_headers(), nullptr);
+  bye.set_routes({});  // an empty route set makes no block
+  EXPECT_EQ(bye.cold_headers(), nullptr);
+  EXPECT_TRUE(bye.routes().empty());
+  EXPECT_FALSE(bye.contact().has_value());
+  EXPECT_FALSE(bye.header("X-Stateful").has_value());
+
+  // The 200 a BYE server transaction keeps for Timer J: no block, even
+  // when the BYE itself carried a Route.
+  bye.set_routes({Uri("", "p1.example.com")});
+  EXPECT_EQ(Message::response(bye, status::kOk).cold_headers(), nullptr);
+
+  // Responses carry a block only to mirror Record-Route.
+  Message invite = make_invite();
+  EXPECT_EQ(Message::response(invite, status::kRinging).cold_headers(),
+            nullptr);
+  invite.prepend_record_route(Uri("", "p1.example.com"));
+  const Message ringing = Message::response(invite, status::kRinging);
+  ASSERT_NE(ringing.cold_headers(), nullptr);
+  EXPECT_EQ(ringing.record_routes(), invite.record_routes());
+  EXPECT_FALSE(ringing.contact().has_value());
+
+  // Emptying every cold header drops the block again.
+  Message routed = Message::request(
+      Method::kBye, Uri("burdell", "cc.gatech.edu"),
+      NameAddr{"", Uri("hal", "us.ibm.com"), "tag-hal"},
+      NameAddr{"", Uri("burdell", "cc.gatech.edu"), "tag-b"}, "call-1",
+      CSeq{2, Method::kBye});
+  routed.set_routes({Uri("", "p1.example.com")});
+  routed.set_header("X-A", "1");
+  routed.pop_route();
+  EXPECT_NE(routed.cold_headers(), nullptr);
+  routed.remove_header("X-A");
+  EXPECT_EQ(routed.cold_headers(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -276,8 +411,8 @@ TEST(MessageTest, HeaderCountReflectsContents) {
 TEST(WireTest, RequestRoundTrip) {
   Message msg = make_invite();
   msg.set_header("X-Stateful", "proxy0.example.net");
-  msg.routes().push_back(Uri("", "p1.example.com"));
-  msg.record_routes().push_back(Uri("", "p2.example.com"));
+  msg.set_routes({Uri("", "p1.example.com")});
+  msg.prepend_record_route(Uri("", "p2.example.com"));
   msg.set_body("v=0");
 
   const std::string wire = msg.to_wire();
@@ -300,6 +435,29 @@ TEST(WireTest, RequestRoundTrip) {
   EXPECT_EQ(round.record_routes().size(), 1u);
   EXPECT_EQ(round.header("X-Stateful"), "proxy0.example.net");
   EXPECT_EQ(round.body(), "v=0");
+}
+
+TEST(WireTest, ParseThenSerializeIsByteIdentical) {
+  // With and without cold headers: where the bytes live never shows.
+  Message bare = Message::request(
+      Method::kBye, Uri("burdell", "cc.gatech.edu"),
+      NameAddr{"", Uri("hal", "us.ibm.com"), "tag-hal"},
+      NameAddr{"", Uri("burdell", "cc.gatech.edu"), "tag-b"}, "call-1",
+      CSeq{2, Method::kBye});
+  bare.push_via(Via{"SIP/2.0/UDP", "uac.us.ibm.com", "z9hG4bK-bye"});
+  const Message ok = Message::response(bare, status::kOk);
+  const Message cold = make_cold_invite();
+  Message cold_ok = Message::response(cold, status::kOk);
+  cold_ok.set_contact(NameAddr{"", Uri("", "uas0.example.com"), ""});
+  const Message* const messages[] = {&bare, &ok, &cold, &cold_ok};
+  for (const Message* msg : messages) {
+    const std::string wire = msg->to_wire();
+    const auto parsed = Parser::parse(wire);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    EXPECT_EQ(parsed.value().to_wire(), wire);
+    EXPECT_EQ(parsed.value().cold_headers() == nullptr,
+              msg->cold_headers() == nullptr);
+  }
 }
 
 TEST(WireTest, ResponseRoundTrip) {
@@ -726,11 +884,17 @@ Message random_message(Rng& rng) {
     msg.push_via(std::move(via));
   }
 
+  RouteList routes;
   for (std::size_t i = rng.uniform_int(5); i > 0; --i) {
-    msg.routes().push_back(Uri("", host()));
+    routes.push_back(Uri("", host()));
   }
+  msg.set_routes(std::move(routes));
+  RouteList record_routes;
   for (std::size_t i = rng.uniform_int(5); i > 0; --i) {
-    msg.record_routes().push_back(Uri("", host()));
+    record_routes.push_back(Uri("", host()));
+  }
+  for (auto it = record_routes.rbegin(); it != record_routes.rend(); ++it) {
+    msg.prepend_record_route(*it);
   }
   for (std::size_t i = rng.uniform_int(4); i > 0; --i) {
     msg.set_header(std::string("X-Prop-").append(std::to_string(i)),

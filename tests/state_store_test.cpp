@@ -23,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "check/transaction_key.hpp"
 #include "common/flat_table.hpp"
 #include "common/hash.hpp"
 #include "common/slab.hpp"
@@ -78,15 +79,15 @@ TEST(HashConstants, CounterSeedFormula) {
 // ---------------------------------------------------------------------------
 
 TEST(ProbeEquivalence, TxnKeyHashMatchesLegacyHasher) {
-  const sip::TransactionKey keys[] = {
+  const check::TransactionKey keys[] = {
       {"z9hG4bK-abc123", "p1.example.test", sip::Method::kInvite},
       {"z9hG4bK-abc123", "p1.example.test", sip::Method::kBye},
       {"z9hG4bK-abc123", "p2.example.test", sip::Method::kInvite},
       {"", "", sip::Method::kCancel},
   };
-  for (const sip::TransactionKey& key : keys) {
+  for (const check::TransactionKey& key : keys) {
     EXPECT_EQ(sip::txn_key_hash(key.branch, key.sent_by, key.method),
-              sip::TransactionKeyHash{}(key));
+              check::TransactionKeyHash{}(key));
   }
   // Method participates in the hash (CANCEL vs INVITE share branch).
   EXPECT_NE(
@@ -103,9 +104,9 @@ TEST(ProbeEquivalence, RequestProbeMatchesServerKey) {
   invite.push_via(sip::Via{"SIP/2.0/UDP", "uac.test", "z9hG4bK-req-1"});
   const auto invite_ptr = std::move(invite).finish();
 
-  const sip::TransactionKey key = sip::server_key(*invite_ptr);
+  const check::TransactionKey key = check::server_key(*invite_ptr);
   const sip::TxnProbe probe = sip::key_for_request(*invite_ptr);
-  EXPECT_EQ(probe.hash, sip::TransactionKeyHash{}(key));
+  EXPECT_EQ(probe.hash, check::TransactionKeyHash{}(key));
   EXPECT_TRUE(probe.matches(key.branch, key.sent_by, key.method));
 
   // ACK must probe the INVITE transaction (RFC 3261 17.2.3).
@@ -131,9 +132,9 @@ TEST(ProbeEquivalence, ResponseProbeMatchesClientKey) {
   const auto invite_ptr = std::move(invite).finish();
   const auto ok = sip::Message::response(*invite_ptr, 200).finish();
 
-  const sip::TransactionKey key = sip::client_key(*ok);
+  const check::TransactionKey key = check::client_key(*ok);
   const sip::TxnProbe probe = sip::key_for_response(*ok);
-  EXPECT_EQ(probe.hash, sip::TransactionKeyHash{}(key));
+  EXPECT_EQ(probe.hash, check::TransactionKeyHash{}(key));
   EXPECT_TRUE(probe.matches(key.branch, key.sent_by, key.method));
 }
 

@@ -246,6 +246,29 @@ TEST_F(InviteClientTest, AckForNon2xxCopiesBranch) {
   EXPECT_EQ(ack->cseq().seq, txn->request()->cseq().seq);
 }
 
+TEST_F(InviteClientTest, AckForNon2xxCarriesTheInviteRoute) {
+  // RFC 3261 17.1.1.3: the ACK, and every re-ACK built from the retained
+  // INVITE, repeats the INVITE's Route header fields.
+  Message invite = Message::request(
+      Method::kInvite, Uri("bob", "example.com"),
+      NameAddr{"", Uri("alice", "client.com"), "tag-a"},
+      NameAddr{"", Uri("bob", "example.com"), ""}, "call-1",
+      CSeq{1, Method::kInvite});
+  invite.push_via(Via{"SIP/2.0/UDP", "client.com", "z9hG4bK-1"});
+  invite.set_routes({Uri("", "p1.example.com"), Uri("", "p2.example.com")});
+  ClientTransaction txn(sim, timers, /*is_invite=*/true,
+                        std::move(invite).finish(), wire.sender(), {});
+  txn.start();
+  const MessagePtr busy = make_response(*txn.request(), 486);
+  txn.receive_response(busy);
+  txn.receive_response(busy);
+  ASSERT_EQ(wire.count_method(Method::kAck), 2);
+  for (const MessagePtr& msg : wire.sent) {
+    if (msg->method() != Method::kAck) continue;
+    EXPECT_EQ(msg->routes(), txn.request()->routes());
+  }
+}
+
 TEST_F(InviteClientTest, ProvisionalThen200) {
   auto txn = make();
   txn->receive_response(make_response(*txn->request(), 180));
