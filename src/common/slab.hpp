@@ -1,5 +1,5 @@
 // Generation-tagged slab allocator — stable-address object pool for the
-// state layer.
+// state layer and the simulator's event store.
 //
 // Transactions and dialogs are created and destroyed once per call leg;
 // holding each in its own unique_ptr made the state tables the last
@@ -9,8 +9,9 @@
 // an object's whole lifetime (chunks never move), and every slot carries a
 // generation counter so a Handle held across erase-and-reuse — the
 // schedule-removal-then-recreate pattern — can be detected as stale instead
-// of resolving to the wrong object. The same idiom as the timer wheel's
-// event-node pool (sim/timer_wheel.hpp), generalized.
+// of resolving to the wrong object. The simulator's timer wheel
+// (sim/timer_wheel.hpp) keeps its event nodes in one, and packs a handle
+// into each EventId.
 #pragma once
 
 #include <cassert>
@@ -145,9 +146,10 @@ class Slab {
     const std::size_t base = slot_count();
     chunks_.push_back(std::make_unique<Chunk>());
     ++stats_.chunk_allocs;
-    // Reverse order so emplace draws low indexes first (deterministic and
-    // friendlier to for_each locality).
-    freelist_.reserve(freelist_.size() + kChunkSlots);
+    // Room for every slot, so draining a pool that peaked above one chunk
+    // never reallocates the freelist. Reverse order so emplace draws low
+    // indexes first (deterministic and friendlier to for_each locality).
+    freelist_.reserve(slot_count());
     for (std::size_t i = kChunkSlots; i-- > 0;) {
       freelist_.push_back(static_cast<std::uint32_t>(base + i));
     }

@@ -14,11 +14,13 @@
 // inherit the host's identity; outside event execution it is whatever the
 // harness establishes with LocusScope (rank 0 = harness/setup).
 //
-// The pending-event store is a hierarchical timer wheel with a slab-pooled
-// node per event (see timer_wheel.hpp): schedule and cancel are O(1),
+// The pending-event store is one hierarchical timer wheel whose nodes come
+// from a common::Slab (see timer_wheel.hpp): schedule and cancel are O(1),
 // cancellation removes the event eagerly (no tombstones), and steady-state
 // scheduling performs no heap allocation — the callable lives inline in the
-// pooled node (EventAction small-buffer storage).
+// pooled node (EventAction small-buffer storage). run_until() never lets
+// the wheel's cursor pass its horizon, so the clamp-to-now in schedule_at
+// is all a later schedule needs to stay orderable.
 #pragma once
 
 #include <cstdint>
@@ -96,11 +98,10 @@ class Simulator {
 
   /// Event-store allocation/behavior counters (perf benches and the
   /// zero-allocation steady-state tests read these).
-  [[nodiscard]] const TimerWheel::Stats& event_stats() const {
+  [[nodiscard]] TimerWheel::Stats event_stats() const {
     return wheel_.stats();
   }
-  /// The wheel itself, for memory-behavior assertions (node capacity,
-  /// overflow residency).
+  /// The wheel itself, for memory-behavior assertions (node capacity).
   [[nodiscard]] const TimerWheel& event_store() const { return wheel_; }
 
   /// Installs observability sinks. The returned struct from obs() has a

@@ -1,55 +1,43 @@
 // Hierarchical timer wheel — the simulator's pending-event store.
 //
-// Replaces the binary heap + tombstone-set core. Design goals, in order:
+// An exact priority queue on (time, order key) with O(1) schedule and
+// cancel. Design goals, in order:
 //
-//  1. Bit-identical execution order. Events run in (time, order-key) order.
-//     The key is a caller-supplied 64-bit value — for plain insert() it is a
-//     monotonic sequence number, reproducing the old FIFO tie-break; the
-//     simulator composes it as (locus rank << kLocusSeqBits | per-locus seq)
-//     so that the key is a pure function of *which host* scheduled the event
-//     and *how many* events that host had scheduled before, independent of
-//     how hosts interleave globally. The pinned digests encode that order:
-//     a level-0 slot holds exactly one nanosecond tick, and pop_until()
-//     selects the minimum-key node within the tick.
+//  1. Bit-identical execution order. Events run in (at, key) order. The
+//     simulator composes the key as (locus rank << kLocusSeqBits |
+//     per-locus seq), so it is a pure function of *which host* scheduled
+//     the event and *how many* events that host had scheduled before,
+//     independent of how hosts interleave globally. The pinned digests
+//     encode that order.
 //  2. O(1) schedule and true O(1) cancel. Events live in intrusive
-//     doubly-linked slot lists; an EventId resolves to its pool node in
+//     doubly-linked, unordered slot lists; an EventId resolves to its pool node in
 //     O(1) (index + generation), so cancel unlinks and recycles the node
-//     immediately instead of leaving a tombstone resident until the queue
-//     drains past it.
-//  3. Zero steady-state allocation. Nodes come from a slab pool with a
-//     freelist; the callable lives inline in the node (EventAction's
-//     64-byte buffer). Once the pool is warm, schedule/cancel/execute
-//     touch no allocator.
+//     immediately instead of leaving a tombstone resident.
+//  3. Zero steady-state allocation. Nodes come from a common::Slab; the
+//     callable lives inline in the node (EventAction's 64-byte buffer).
+//     Once the pool is warm, schedule/cancel/execute touch no allocator.
 //
-// Structure: kLevels wheels of 64 slots over the raw nanosecond time.
-// Level k buckets events whose expiry differs from the cursor in bit
-// group [6k, 6k+6). Level 0 therefore spans the cursor's current 64 ns
-// window and each of its slots is a single tick; level 7 spans ~78 hours.
-// Events beyond the top level go to an overflow min-heap ordered by
-// (time, key); cancelled overflow entries are compacted amortized so the
-// heap never holds more than ~half dead entries.
+// Structure: kLevels wheels of 64 slots over ticks of 2^kTickBits ns
+// (1.024 µs). Level k buckets events whose tick differs from the cursor
+// in bit group [6k, 6k+6); nine levels cover every tick of a non-negative
+// int64 time, so nothing lives beside the wheel. A 0.5 ms link or CPU
+// delay lands at level 1, a 32 s Timer J at level 4.
 //
 // Ordering invariants (why determinism survives):
-//  * Same-tick events always hash to the same slot at every level, so a
-//    tick's events are always together in one list; pop_until() scans that
-//    (short) list for the minimum key, so insertion order never matters.
-//  * A cascade drains the *lowest* occupied slot into strictly lower,
-//    provably empty levels; overflow events are pulled in (time, key) heap
-//    order. Neither changes which list a tick's events end up in.
-//
-// The cursor (wheel_now_) advances monotonically as the earliest event is
-// located; it is independent of the simulator's clock. The one place it can
-// run ahead of schedulable time — a peek cascades toward a far-future event,
-// run_until() stops short, and a later schedule lands before the cursor —
-// is handled by rewind(): collect the (few) live events and re-bucket them
-// against the earlier cursor. Rare by construction and counted in Stats.
+//  * All events of one tick sit in one slot list at every level, and the
+//    lowest occupied level-0 slot holds exactly the earliest tick.
+//    pop_until() scans that (short) list for the minimum (at, key), so
+//    insertion and cascade order never matter.
+//  * The cursor only moves by cascading the lowest occupied slot, and
+//    pop_until() never cascades a slot that starts after its limit. The
+//    cursor therefore never passes the caller's horizon, and the
+//    simulator (which clamps schedules to now) never schedules before it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/sim_time.hpp"
+#include "common/slab.hpp"
 #include "sim/event_action.hpp"
 
 namespace svk::sim {
@@ -79,154 +67,84 @@ inline constexpr int kLocusSeqBits = 40;
 class TimerWheel {
  public:
   /// Allocation and behavior counters. `slab_allocs` is the number of
-  /// node-slab mallocs ever made — the perf-smoke CI gate divides
+  /// node-chunk mallocs ever made — the perf-smoke CI gate divides
   /// `scheduled` by it to detect steady-state allocation regressions.
+  /// `cascades` counts slot drains (each re-buckets a slot's events one
+  /// or more levels down).
   struct Stats {
     std::uint64_t scheduled = 0;
     std::uint64_t executed = 0;
     std::uint64_t cancelled = 0;
     std::uint64_t slab_allocs = 0;
     std::uint64_t cascades = 0;
-    std::uint64_t overflow_inserts = 0;
-    std::uint64_t overflow_compactions = 0;
-    std::uint64_t rewinds = 0;
   };
 
+  static constexpr int kTickBits = 10;  // level-0 slot = 1.024 µs
   static constexpr int kLevelBits = 6;
   static constexpr int kSlotsPerLevel = 1 << kLevelBits;  // 64
-  static constexpr int kLevels = 8;  // 64^8 ns ~ 78 hours of horizon
-  static constexpr std::size_t kSlabNodes = 256;
+  static constexpr int kLevels = 9;  // 9 * 6 + 10 bits >= any int64 time
 
-  TimerWheel() = default;
-  ~TimerWheel();
-
-  TimerWheel(const TimerWheel&) = delete;
-  TimerWheel& operator=(const TimerWheel&) = delete;
-
-  /// Schedules `action` at absolute time `at` (>= 0). O(1) amortized.
-  /// The order key is an internal monotonic sequence (locus rank 0), so
-  /// plain inserts keep the historical FIFO same-tick semantics.
-  EventId insert(SimTime at, EventAction action);
-
-  /// Schedules with an explicit order key and execution locus. Same-tick
-  /// events run in ascending key order; `locus` is reported back by
-  /// pop_until so the simulator can attribute follow-on scheduling to the
-  /// host whose event is executing.
+  /// Schedules `action` at absolute time `at`, which must not precede the
+  /// start of the last tick pop_until() advanced to (the simulator clamps
+  /// to now). Same-time events run in ascending key order; `locus` is
+  /// reported back by pop_until so the simulator can attribute follow-on
+  /// scheduling to the host whose event is executing.
   EventId insert_keyed(SimTime at, OrderKey key, std::uint32_t locus,
                        EventAction action);
 
-  /// Removes a pending event. Returns false for stale/unknown ids.
-  /// Wheel-resident events are unlinked and recycled immediately;
-  /// overflow-resident events are marked dead and reclaimed by amortized
-  /// heap compaction (the heap is never more than ~half dead).
+  /// Removes a pending event eagerly. Returns false for stale/unknown ids.
   bool cancel(EventId id);
 
-  /// Earliest pending event time. Advances the internal cursor (cascades
-  /// far buckets down) but never past the earliest event, and never
-  /// observable from outside. Returns false when no events are pending.
-  bool peek(SimTime* at);
-
   /// Pops the earliest pending event if its time is <= `limit`; same-time
-  /// events pop in ascending order-key. Returns false when idle or the next
+  /// events pop in ascending order key. Returns false when idle or the next
   /// event is later than `limit`.
-  bool pop_until(SimTime limit, SimTime* at, EventAction* action);
-
-  /// As above, additionally reporting the event's execution locus.
   bool pop_until(SimTime limit, SimTime* at, std::uint32_t* locus,
                  EventAction* action);
 
   /// Live (scheduled, not cancelled, not run) event count. O(1).
-  [[nodiscard]] std::size_t size() const { return live_; }
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-
-  /// Overflow heap entries currently resident, dead entries included —
-  /// tests pin that this stays within a small factor of the live count
-  /// under heavy schedule/cancel churn.
-  [[nodiscard]] std::size_t overflow_resident() const {
-    return overflow_.size();
-  }
+  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
   /// Total pool capacity in nodes (never shrinks; bounded by the high-water
   /// mark of concurrently pending events).
-  [[nodiscard]] std::size_t node_capacity() const {
-    return slabs_.size() * kSlabNodes;
-  }
+  [[nodiscard]] std::size_t node_capacity() const { return nodes_.capacity(); }
 
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  [[nodiscard]] Stats stats() const {
+    Stats s = stats_;
+    s.slab_allocs = nodes_.stats().chunk_allocs;
+    return s;
+  }
 
  private:
-  struct EventNode {
-    std::int64_t at = 0;   // absolute expiry, ns
-    OrderKey key = 0;      // same-tick tie-break (ascending)
-    EventNode* prev = nullptr;
-    EventNode* next = nullptr;
-    std::uint32_t index = 0;  // own slot in the pool
-    std::uint32_t gen = 1;    // bumped on every free/invalidate
-    std::uint8_t state = 0;   // State
-    std::uint8_t level = 0;   // wheel level while state == kInWheel
-    std::uint32_t locus = 0;  // execution locus (host rank; 0 = harness)
+  struct Node {
+    Node(std::int64_t at_ns, OrderKey k, std::uint32_t l, EventAction&& a)
+        : at(at_ns), key(k), locus(l), action(std::move(a)) {}
+    std::int64_t at;   // absolute expiry, ns
+    OrderKey key;      // same-time tie-break (ascending)
+    std::uint32_t locus;
+    std::uint8_t level = 0;
+    common::SlabHandle self;
+    Node* prev = nullptr;
+    Node* next = nullptr;
     EventAction action;
   };
-  enum State : std::uint8_t {
-    kFree = 0,
-    kInWheel,
-    kInOverflow,
-    kOverflowDead,
-  };
-  struct Slot {
-    EventNode* head = nullptr;
-    EventNode* tail = nullptr;
-  };
-  struct Slab {
-    EventNode nodes[kSlabNodes];
-  };
-  struct OverflowEntry {
-    std::int64_t at;
-    OrderKey key;
-    EventNode* node;
-  };
-  struct OverflowLater {
-    bool operator()(const OverflowEntry& a, const OverflowEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.key > b.key;
-    }
-  };
 
-  static int slot_index(std::int64_t at, int level) {
-    return static_cast<int>((at >> (kLevelBits * level)) &
+  static int slot_index(std::int64_t tick, int level) {
+    return static_cast<int>((tick >> (kLevelBits * level)) &
                             (kSlotsPerLevel - 1));
   }
-  [[nodiscard]] bool beyond_horizon(std::int64_t at) const {
-    return ((static_cast<std::uint64_t>(at) ^
-             static_cast<std::uint64_t>(wheel_now_)) >>
-            (kLevelBits * kLevels)) != 0;
-  }
+  /// First tick covered by (level, slot) in the cursor's current cycle.
+  [[nodiscard]] std::int64_t slot_start(int level, int slot) const;
+  void unlink(Node* n);
+  /// Buckets a detached node relative to the cursor.
+  void place(Node* n);
+  /// Moves the cursor to `start`, the first tick of (level, slot), and
+  /// redistributes that slot's events into lower levels.
+  void cascade(int level, int slot, std::int64_t start);
 
-  EventNode* alloc_node();
-  void free_node(EventNode* n);
-  EventNode* node_at(std::uint32_t index) const;
-  void append(int level, int slot, EventNode* n);
-  void unlink(EventNode* n);
-  /// Buckets a detached node relative to the current cursor.
-  void place(EventNode* n);
-  /// Moves the cursor to the start of (level, slot) and redistributes that
-  /// slot's events into lower levels.
-  void cascade(int level, int slot);
-  /// Pulls overflow events that came within the wheel horizon.
-  void pull_overflow();
-  void maybe_compact_overflow();
-  /// Re-buckets every wheel event against an earlier cursor.
-  void rewind(std::int64_t to);
-
-  std::int64_t wheel_now_ = 0;  // cursor; all live wheel ticks are >= this
-  std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
-  Slot slots_[kLevels][kSlotsPerLevel];
+  std::int64_t cursor_ = 0;  // in ticks; every pending tick is >= this
+  Node* slots_[kLevels][kSlotsPerLevel] = {};  // unordered list heads
   std::uint64_t bitmap_[kLevels] = {};
-  std::vector<std::unique_ptr<Slab>> slabs_;
-  std::vector<EventNode*> freelist_;
-  std::vector<OverflowEntry> overflow_;  // min-heap by (at, key)
-  std::size_t overflow_dead_ = 0;
+  common::Slab<Node> nodes_;
   Stats stats_;
 };
 

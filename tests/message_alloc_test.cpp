@@ -1,6 +1,7 @@
 // Allocation contract of the SIP message fast path (DESIGN.md §8): once
 // warm, copying a message for forwarding, building a response from a
-// request, and copying a URI touch no heap. Field shapes are the run's:
+// request, and copying a URI touch no heap; nor does draining and
+// refilling a common::Slab that has peaked. Field shapes are the run's:
 // hosts of 18-23 chars, a 28-char Call-ID, the UAC's 19-char and the
 // proxies' 26-char stateless branches, and the UAC's SDP body — all too long for std::string's inline buffer, so a string
 // member anywhere on these paths would show up as an allocation.
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/slab.hpp"
 #include "sip/branch.hpp"
 #include "sip/intern.hpp"
 #include "sip/message.hpp"
@@ -175,6 +177,24 @@ TEST(MessageAllocTest, UriCopyMakesNoHeapAllocation) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(copied, source);
   EXPECT_EQ(copies.back().host(), "uas0.callee.example.net");
+}
+
+TEST(SlabAllocTest, DrainAndRefillAfterThreeChunkPeakMakesNoHeapAllocation) {
+  // The event store and the state tables drain and refill their slabs
+  // every call; once a pool has peaked, neither the erases (freelist
+  // pushes) nor the re-emplaces may reallocate anything.
+  common::Slab<std::uint64_t> slab;
+  constexpr std::size_t kPeak = 3 * common::Slab<std::uint64_t>::kChunkSlots;
+  std::vector<common::SlabHandle> handles;
+  handles.reserve(kPeak);
+  for (std::size_t i = 0; i < kPeak; ++i) handles.push_back(slab.emplace(i));
+  ASSERT_EQ(slab.stats().chunk_allocs, 3u);
+  const std::uint64_t before = t_heap_allocs;
+  for (const common::SlabHandle h : handles) slab.erase(h);
+  for (std::size_t i = 0; i < kPeak; ++i) handles[i] = slab.emplace(i);
+  const std::uint64_t allocs = t_heap_allocs - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(slab.size(), kPeak);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
-// Timer-wheel event store: ordering vs a reference heap, eager-cancel
-// memory behavior, zero-allocation steady state, and schedule/cancel-heavy
-// determinism. These pin the contracts the simulator core swap relies on
-// (see src/sim/timer_wheel.hpp for the invariants being exercised).
+// Timer-wheel event store: ordering vs a sort-based oracle, eager-cancel
+// memory behavior, zero-allocation steady state, schedule/cancel-heavy
+// determinism, and a pinned cascade count for a call-shaped schedule.
+// These pin the contracts the simulator relies on (see
+// src/sim/timer_wheel.hpp for the invariants being exercised).
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,25 +27,33 @@ namespace {
 
 using svk::Rng;
 
-/// Delays spanning every wheel regime: same-tick, low levels, RFC 3261
-/// timer scale, top level, and past-the-horizon (overflow heap).
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+
+/// Delays spanning every wheel regime: same time, same tick, low levels,
+/// RFC 3261 timer scale, high levels, the top level, and "never" (an
+/// event at SimTime::max(), the last tick of the top level).
 std::int64_t random_delay_ns(Rng& rng) {
-  switch (rng.uniform_int(6)) {
-    case 0: return 0;                                             // same tick
-    case 1: return static_cast<std::int64_t>(rng.uniform_int(64));
+  switch (rng.uniform_int(7)) {
+    case 0: return 0;                                             // same time
+    case 1: return static_cast<std::int64_t>(rng.uniform_int(1024));
     case 2: return static_cast<std::int64_t>(rng.uniform_int(500'000));
     case 3: return 500'000'000 +                                  // timer A..F
                    static_cast<std::int64_t>(rng.uniform_int(63'500'000'000));
     case 4: return static_cast<std::int64_t>(rng.uniform_int(1ll << 46));
-    default:                                                      // overflow
-      return (1ll << 48) +
-             static_cast<std::int64_t>(rng.uniform_int(1ll << 49));
+    case 5:                                                       // top level
+      return static_cast<std::int64_t>(rng.uniform_int(1ll << 62));
+    default: return kNever;
   }
 }
 
+/// now + delay, saturating at SimTime::max().
+std::int64_t time_after(std::int64_t now, std::int64_t delay) {
+  return delay > kNever - now ? kNever : now + delay;
+}
+
 // ---------------------------------------------------------------------------
-// Ordering: the wheel must pop events in exactly (time, schedule-order),
-// matching the old priority-queue tie-break. Oracle: a sorted list.
+// Ordering: the wheel must pop events in exactly (time, key) order, keys
+// here being the schedule order. Oracle: a sorted list.
 // ---------------------------------------------------------------------------
 
 TEST(TimerWheelTest, MatchesReferenceOrderUnderRandomChurn) {
@@ -64,10 +74,10 @@ TEST(TimerWheelTest, MatchesReferenceOrderUnderRandomChurn) {
     // Burst of schedules.
     const std::uint64_t burst = 1 + rng.uniform_int(8);
     for (std::uint64_t i = 0; i < burst; ++i) {
-      const std::int64_t at = now + random_delay_ns(rng);
+      const std::int64_t at = time_after(now, random_delay_ns(rng));
       const std::uint64_t seq = next_seq++;
-      const EventId id = wheel.insert(
-          SimTime::nanos(at),
+      const EventId id = wheel.insert_keyed(
+          SimTime::nanos(at), seq, /*locus=*/0,
           [seq, &popped_seqs] { popped_seqs.push_back(seq); });
       oracle.push_back(Expected{at, seq, id});
     }
@@ -85,8 +95,9 @@ TEST(TimerWheelTest, MatchesReferenceOrderUnderRandomChurn) {
     const std::uint64_t pops = rng.uniform_int(6);
     for (std::uint64_t i = 0; i < pops && !oracle.empty(); ++i) {
       SimTime at;
+      std::uint32_t locus;
       EventAction action;
-      ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &action));
+      ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &locus, &action));
       action();
       ASSERT_EQ(at.ns(), oracle.front().at);
       ASSERT_EQ(popped_seqs.back(), oracle.front().seq);
@@ -101,16 +112,44 @@ TEST(TimerWheelTest, MatchesReferenceOrderUnderRandomChurn) {
             [](const Expected& a, const Expected& b) {
               return a.at != b.at ? a.at < b.at : a.seq < b.seq;
             });
+  ASSERT_EQ(oracle.back().at, kNever);  // the top tick was exercised
   for (const Expected& e : oracle) {
     SimTime at;
+    std::uint32_t locus;
     EventAction action;
-    ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &action));
+    ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &locus, &action));
     action();
     ASSERT_EQ(at.ns(), e.at);
     ASSERT_EQ(popped_seqs.back(), e.seq);
   }
   EXPECT_EQ(wheel.size(), 0u);
-  EXPECT_FALSE(wheel.pop_until(SimTime::max(), nullptr, nullptr));
+  EXPECT_FALSE(wheel.pop_until(SimTime::max(), nullptr, nullptr, nullptr));
+}
+
+TEST(TimerWheelTest, SameTickEventsPopByTimeThenKey) {
+  // A level-0 slot is one 1.024 us tick, so events a few ns apart share
+  // it. Time must still decide before key: the later-keyed earlier event
+  // pops first.
+  TimerWheel wheel;
+  const std::int64_t tick = std::int64_t{1} << TimerWheel::kTickBits;
+  const std::int64_t base = 7 * tick;
+  wheel.insert_keyed(SimTime::nanos(base + 9), make_order_key(1, 1), 1,
+                     EventAction([] {}));
+  wheel.insert_keyed(SimTime::nanos(base + 3), make_order_key(4, 1), 4,
+                     EventAction([] {}));
+  wheel.insert_keyed(SimTime::nanos(base + 9), make_order_key(0, 5), 0,
+                     EventAction([] {}));
+  SimTime at;
+  std::uint32_t locus;
+  EventAction action;
+  std::vector<std::uint32_t> order;
+  // Nothing is due before the tick's first event.
+  EXPECT_FALSE(wheel.pop_until(SimTime::nanos(base + 2), &at, &locus,
+                               &action));
+  while (wheel.pop_until(SimTime::max(), &at, &locus, &action)) {
+    order.push_back(locus);
+  }
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{4, 0, 1}));
 }
 
 // ---------------------------------------------------------------------------
@@ -138,8 +177,8 @@ TEST(TimerWheelTest, CancelIsEagerAndCapacityStaysBounded) {
   const std::uint64_t slabs_after_warmup = sim.event_stats().slab_allocs;
   EXPECT_GE(capacity_after_warmup, kBatch);
 
-  // Many more churn rounds: capacity and slab count must not move, and the
-  // overflow heap must stay within a small factor of the live count.
+  // Many more churn rounds, 30% of events at day scale (the wheel's high
+  // levels): capacity and slab count must not move.
   Rng rng(7);
   for (int round = 0; round < 50; ++round) {
     ids.clear();
@@ -151,8 +190,6 @@ TEST(TimerWheelTest, CancelIsEagerAndCapacityStaysBounded) {
     }
     for (EventId id : ids) sim.cancel(id);
     ASSERT_EQ(sim.pending_count(), 0u);
-    ASSERT_LE(sim.event_store().overflow_resident(),
-              2 * sim.pending_count() + 64);
   }
   EXPECT_EQ(sim.event_store().node_capacity(), capacity_after_warmup);
   EXPECT_EQ(sim.event_stats().slab_allocs, slabs_after_warmup);
@@ -230,12 +267,13 @@ std::string churn_digest(std::uint64_t seed) {
                                    sizeof(t)));
       md5->update(std::string_view(reinterpret_cast<const char*>(&label),
                                    sizeof(label)));
-      // Reschedule-heavy behavior from inside events.
+      // Reschedule-heavy behavior from inside events, at every delay
+      // scale up to SimTime::max().
       for (int i = 0; i < 3 && *budget > 0; ++i) {
         --*budget;
-        const std::int64_t delay = random_delay_ns(*rng) % 2'000'000'000;
-        live->push_back(sim->schedule(
-            SimTime::nanos(delay),
+        const std::int64_t at = time_after(t, random_delay_ns(*rng));
+        live->push_back(sim->schedule_at(
+            SimTime::nanos(at),
             Tick{sim, rng, md5, live, budget,
                  label * 31 + std::uint64_t(i)}));
       }
@@ -252,7 +290,8 @@ std::string churn_digest(std::uint64_t seed) {
         sim.schedule(SimTime::nanos(random_delay_ns(rng) % 1000),
                      Tick{&sim, &rng, &md5, &live, &budget, i}));
   }
-  sim.run_until(SimTime::seconds(2.0));
+  sim.run();
+  EXPECT_EQ(sim.now(), SimTime::max());
   const auto digest = md5.digest();
   return to_hex(digest);
 }
@@ -271,9 +310,10 @@ TEST(TimerWheelTest, ChurnHeavyScheduleIsBitReproducible) {
 // Run-horizon edge cases: the harness drives the simulator through
 // successive run_until() slices (warm-up, then measurement windows) and
 // schedules between them. These pin the wheel behaviors that relies on:
-// rescheduling an event past a slice's horizon, key-order ties between
-// overflow-heap and in-wheel events at one tick, and cursor rewind when a
-// schedule between slices lands before the cascaded cursor.
+// rescheduling an event past a slice's horizon, key-order ties between an
+// event that travelled down from the top level and one placed near the
+// cursor, and a slice that stops short of a far event leaving the cursor
+// at or before its horizon, so a schedule between slices still orders.
 // ---------------------------------------------------------------------------
 
 TEST(TimerWheelTest, RescheduleAcrossWindowBoundaryFiresOnceAtNewTime) {
@@ -295,16 +335,15 @@ TEST(TimerWheelTest, RescheduleAcrossWindowBoundaryFiresOnceAtNewTime) {
   EXPECT_EQ(fired[0], SimTime::micros(150).ns());
 }
 
-TEST(TimerWheelTest, OverflowAndWheelEventsTieOnSameTickByKey) {
+TEST(TimerWheelTest, TopLevelAndNearEventsTieOnSameTickByKey) {
   TimerWheel wheel;
-  // T sits beyond the 2^48 ns wheel horizon, so the first insert lands in
-  // the overflow heap. Its key says locus 2.
-  const SimTime t = SimTime::nanos((1ll << 48) + 12345);
+  // T is 2^62 ns out, so the first insert lands in the top level. Its key
+  // says locus 2.
+  const SimTime t = SimTime::nanos((1ll << 62) + 12345);
   wheel.insert_keyed(t, make_order_key(2, 1), /*locus=*/2, EventAction([] {}));
-  EXPECT_EQ(wheel.stats().overflow_inserts, 1u);
 
-  // Drain an intermediate event to advance the cursor; the wheel then
-  // jumps to the overflow front and pulls T into the wheel proper.
+  // Drain an intermediate event to advance the cursor; popping T later
+  // cascades it down through every level.
   wheel.insert_keyed(SimTime::seconds(1.0), make_order_key(3, 1), 3,
                      EventAction([] {}));
   SimTime at;
@@ -314,7 +353,7 @@ TEST(TimerWheelTest, OverflowAndWheelEventsTieOnSameTickByKey) {
   EXPECT_EQ(locus, 3u);
 
   // A direct insert at exactly T with a smaller key (locus 1) must pop
-  // BEFORE the overflow-travelled event: same tick, key order decides.
+  // BEFORE the cascaded event: same time, key order decides.
   wheel.insert_keyed(t, make_order_key(1, 7), /*locus=*/1, EventAction([] {}));
   ASSERT_TRUE(wheel.pop_until(SimTime::max(), &at, &locus, &action));
   EXPECT_EQ(at, t);
@@ -325,29 +364,70 @@ TEST(TimerWheelTest, OverflowAndWheelEventsTieOnSameTickByKey) {
   EXPECT_FALSE(wheel.pop_until(SimTime::max(), &at, &locus, &action));
 }
 
-TEST(TimerWheelTest, RewindAfterWindowBarrierKeepsTimeOrder) {
+TEST(TimerWheelTest, ScheduleAfterShortRunKeepsTimeOrder) {
   Simulator sim;
   std::vector<std::int64_t> fired;
   const auto record = [&fired, &sim] { fired.push_back(sim.now().ns()); };
 
-  // Only a far-future event exists: running to a horizon short of it peeks
-  // toward it and cascades the cursor well past the horizon.
+  // Only a far-future event exists: running to a horizon short of it must
+  // not cascade toward it, which would move the cursor past the horizon.
   sim.schedule_at(SimTime::millis(10), record);
   sim.run_until(SimTime::micros(100));
   EXPECT_TRUE(fired.empty());
   EXPECT_EQ(sim.now(), SimTime::micros(100));
+  EXPECT_EQ(sim.event_stats().cascades, 0u);
 
-  // A schedule between slices lands between the horizon and the cursor,
-  // forcing a rewind.
+  // A schedule between slices lands between the horizon and the far event.
   sim.schedule_at(SimTime::micros(150), record);
   sim.run_until(SimTime::millis(1));
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0], SimTime::micros(150).ns());
-  EXPECT_GE(sim.event_stats().rewinds, 1u);
 
   sim.run_until(SimTime::millis(20));
   ASSERT_EQ(fired.size(), 2u);
   EXPECT_EQ(fired[1], SimTime::millis(10).ns());
+}
+
+// ---------------------------------------------------------------------------
+// Cascade gate: a deterministic count over a call-shaped schedule stands in
+// for a wall-clock gate on the event core. A change to the tick width, the
+// level layout or when the wheel cascades moves it.
+// ---------------------------------------------------------------------------
+
+/// Starts `calls` calls 100 us apart. Each walks 8 hops of 0.5 ms (link
+/// plus CPU), re-arming a 500 ms Timer A/E at every hop and cancelling it
+/// at the last, then arms a 5 s Timer K and a 32 s Timer J.
+TimerWheel::Stats call_shaped_stats(int calls) {
+  struct Call {
+    Simulator* sim;
+    EventId retransmit = 0;
+    int hops_left = 8;
+    void hop() {
+      retransmit = sim->reschedule(retransmit, SimTime::millis(500), [] {});
+      if (--hops_left > 0) {
+        sim->schedule(SimTime::micros(500), [this] { hop(); });
+        return;
+      }
+      sim->cancel(retransmit);
+      sim->schedule(SimTime::seconds(5.0), [] {});   // Timer K
+      sim->schedule(SimTime::seconds(32.0), [] {});  // Timer J
+    }
+  };
+  Simulator sim;
+  std::vector<Call> state(static_cast<std::size_t>(calls), Call{&sim});
+  for (int i = 0; i < calls; ++i) {
+    sim.schedule_at(SimTime::micros(100 * i), [c = &state[i]] { c->hop(); });
+  }
+  sim.run();
+  return sim.event_stats();
+}
+
+TEST(TimerWheelTest, CallShapedScheduleCascadeCountIsPinned) {
+  const TimerWheel::Stats s = call_shaped_stats(2000);
+  EXPECT_EQ(s.scheduled, 2000u * 18);
+  EXPECT_EQ(s.executed, 2000u * 10);
+  EXPECT_EQ(s.cancelled, 2000u * 8);
+  EXPECT_EQ(s.cascades, 6085u);
 }
 
 // ---------------------------------------------------------------------------
