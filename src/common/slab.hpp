@@ -12,6 +12,11 @@
 // of resolving to the wrong object. The simulator's timer wheel
 // (sim/timer_wheel.hpp) keeps its event nodes in one, and packs a handle
 // into each EventId.
+//
+// A slot is exactly sizeof(T): each chunk keeps the slots' generation and
+// occupancy in a side array (8 bytes per slot) after its object storage,
+// so no per-slot metadata pads an aligned T (a 128-byte, 16-aligned event
+// node would take 144).
 #pragma once
 
 #include <cassert>
@@ -62,23 +67,27 @@ class Slab {
     if (freelist_.empty()) grow();
     const std::uint32_t index = freelist_.back();
     freelist_.pop_back();
-    Slot& slot = slot_at(index);
-    assert(!slot.occupied);
-    ::new (static_cast<void*>(&slot.storage)) T(std::forward<Args>(args)...);
-    slot.occupied = true;
+    Chunk& chunk = chunk_of(index);
+    const std::size_t i = index % kChunkSlots;
+    Meta& meta = chunk.meta[i];
+    assert(!meta.occupied);
+    ::new (chunk.storage(i)) T(std::forward<Args>(args)...);
+    meta.occupied = true;
     ++live_;
     ++stats_.emplaced;
-    if (slot.generation > 1) ++stats_.freelist_reuses;
-    return SlabHandle{index, slot.generation};
+    if (meta.generation > 1) ++stats_.freelist_reuses;
+    return SlabHandle{index, meta.generation};
   }
 
   /// The object behind `h`, or nullptr when the handle is stale (slot since
   /// erased, possibly reused by a different object) or null.
   [[nodiscard]] T* get(SlabHandle h) {
     if (h.null() || h.index >= slot_count()) return nullptr;
-    Slot& slot = slot_at(h.index);
-    if (!slot.occupied || slot.generation != h.generation) return nullptr;
-    return std::launder(reinterpret_cast<T*>(&slot.storage));
+    Chunk& chunk = chunk_of(h.index);
+    const std::size_t i = h.index % kChunkSlots;
+    const Meta& meta = chunk.meta[i];
+    if (!meta.occupied || meta.generation != h.generation) return nullptr;
+    return chunk.object(i);
   }
   [[nodiscard]] const T* get(SlabHandle h) const {
     return const_cast<Slab*>(this)->get(h);
@@ -90,10 +99,10 @@ class Slab {
   bool erase(SlabHandle h) {
     T* obj = get(h);
     if (obj == nullptr) return false;
-    Slot& slot = slot_at(h.index);
+    Meta& meta = chunk_of(h.index).meta[h.index % kChunkSlots];
     obj->~T();
-    slot.occupied = false;
-    ++slot.generation;
+    meta.occupied = false;
+    ++meta.generation;
     --live_;
     ++stats_.erased;
     freelist_.push_back(h.index);
@@ -108,10 +117,11 @@ class Slab {
   void for_each(F&& f) {
     const std::size_t n = slot_count();
     for (std::size_t i = 0; i < n; ++i) {
-      Slot& slot = slot_at(static_cast<std::uint32_t>(i));
-      if (!slot.occupied) continue;
-      const SlabHandle h{static_cast<std::uint32_t>(i), slot.generation};
-      f(h, *std::launder(reinterpret_cast<T*>(&slot.storage)));
+      Chunk& chunk = chunk_of(static_cast<std::uint32_t>(i));
+      const Meta& meta = chunk.meta[i % kChunkSlots];
+      if (!meta.occupied) continue;
+      const SlabHandle h{static_cast<std::uint32_t>(i), meta.generation};
+      f(h, *chunk.object(i % kChunkSlots));
     }
   }
 
@@ -126,20 +136,25 @@ class Slab {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct Slot {
-    alignas(T) unsigned char storage[sizeof(T)];
+  struct Meta {
     std::uint32_t generation = 1;
     bool occupied = false;
   };
   struct Chunk {
-    Slot slots[kChunkSlots];
+    alignas(T) unsigned char bytes[kChunkSlots * sizeof(T)];
+    Meta meta[kChunkSlots];
+
+    [[nodiscard]] void* storage(std::size_t i) { return bytes + i * sizeof(T); }
+    [[nodiscard]] T* object(std::size_t i) {
+      return std::launder(reinterpret_cast<T*>(storage(i)));
+    }
   };
 
   [[nodiscard]] std::size_t slot_count() const {
     return chunks_.size() * kChunkSlots;
   }
-  [[nodiscard]] Slot& slot_at(std::uint32_t index) {
-    return chunks_[index / kChunkSlots]->slots[index % kChunkSlots];
+  [[nodiscard]] Chunk& chunk_of(std::uint32_t index) {
+    return *chunks_[index / kChunkSlots];
   }
 
   void grow() {

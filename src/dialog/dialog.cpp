@@ -8,9 +8,9 @@ namespace svk::dialog {
 
 using common::fnv1a;
 
-DialogId DialogId::make(sip::SharedText call_id, std::string tag1,
-                        std::string tag2) {
-  if (tag2 < tag1) std::swap(tag1, tag2);
+DialogId DialogId::make(sip::SharedText call_id, sip::SharedText tag1,
+                        sip::SharedText tag2) {
+  if (tag2.view() < tag1.view()) std::swap(tag1, tag2);
   return DialogId{std::move(call_id), std::move(tag1), std::move(tag2)};
 }
 

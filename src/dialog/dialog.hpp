@@ -28,12 +28,14 @@ namespace svk::dialog {
 /// from either direction (caller's BYE vs callee's BYE), so the key
 /// normalizes tag order.
 struct DialogId {
-  sip::SharedText call_id;  // shares the message's Call-ID block
-  std::string tag_a;  // lexicographically smaller tag
-  std::string tag_b;
+  // Each shares the message's block.
+  sip::SharedText call_id;
+  sip::SharedText tag_a;  // lexicographically smaller tag
+  sip::SharedText tag_b;
 
   [[nodiscard]] static DialogId make(sip::SharedText call_id,
-                                     std::string tag1, std::string tag2);
+                                     sip::SharedText tag1,
+                                     sip::SharedText tag2);
 
   friend bool operator==(const DialogId&, const DialogId&) = default;
 };

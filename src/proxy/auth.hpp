@@ -73,4 +73,10 @@ inline constexpr std::string_view kProxyAuthorizationHeader =
 inline constexpr std::string_view kProxyAuthenticateHeader =
     "Proxy-Authenticate";
 
+/// kProxyAuthorizationHeader, interned once.
+inline const sip::Token& proxy_authorization_header() {
+  static const sip::Token token(kProxyAuthorizationHeader);
+  return token;
+}
+
 }  // namespace svk::proxy

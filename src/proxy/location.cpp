@@ -32,7 +32,6 @@ bool aor_matches(std::string_view aor, std::string_view user,
 
 void LocationService::register_binding(std::string_view aor,
                                        sip::Uri contact, SimTime expires_at) {
-  std::unique_lock lock(mutex_);
   const std::uint64_t hash = fnv1a(aor);
   common::SlabHandle* slot =
       table_.find(hash, [&](const common::SlabHandle& h) {
@@ -44,13 +43,12 @@ void LocationService::register_binding(std::string_view aor,
   }
   const common::SlabHandle h = slab_.emplace();
   Entry& entry = *slab_.get(h);
-  entry.aor = aor;
+  entry.aor = sip::SharedText(aor);
   entry.binding = Binding{std::move(contact), expires_at};
   table_.insert(hash, h);
 }
 
 void LocationService::unregister(std::string_view aor) {
-  std::unique_lock lock(mutex_);
   const std::uint64_t hash = fnv1a(aor);
   common::SlabHandle* slot =
       table_.find(hash, [&](const common::SlabHandle& h) {
@@ -64,8 +62,7 @@ void LocationService::unregister(std::string_view aor) {
 
 std::optional<Binding> LocationService::lookup(std::string_view aor,
                                                SimTime now) const {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock lock(mutex_);
+  ++queries_;
   const common::SlabHandle* slot =
       table_.find(fnv1a(aor), [&](const common::SlabHandle& h) {
         return slab_.get(h)->aor == aor;
@@ -86,8 +83,7 @@ std::optional<Binding> LocationService::lookup_hashed(std::uint64_t hash,
                                                       std::string_view user,
                                                       std::string_view host,
                                                       SimTime now) const {
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock lock(mutex_);
+  ++queries_;
   const common::SlabHandle* slot =
       table_.find(hash, [&](const common::SlabHandle& h) {
         return aor_matches(slab_.get(h)->aor, user, host);

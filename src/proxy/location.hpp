@@ -5,18 +5,18 @@
 //
 // Storage follows the flat state-store layout (DESIGN.md §11): entries live
 // in a Slab and the index is a FlatTable of (AOR hash, slab handle) — the
-// AOR string is owned once, inside the entry. The hot-path query is
-// lookup_uri, which hashes user '@' host straight off the request URI's
-// parts and compares piecewise, so the per-call routing lookup neither
-// builds the "user@host" string nor allocates.
+// AOR text is owned once, inside the entry. An entry is 48 bytes: the AOR
+// as SharedText beside the 32-byte contact Uri and the expiry. The
+// hot-path query is lookup_uri, which hashes user '@' host straight off the
+// request URI's parts and compares piecewise, so the per-call routing
+// lookup neither builds the "user@host" string nor allocates.
+//
+// One service is shared by every proxy of a bed, and a bed runs on one
+// thread, so the service takes no lock.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
-#include <string>
 #include <string_view>
 
 #include "common/flat_table.hpp"
@@ -52,17 +52,12 @@ class LocationService {
   [[nodiscard]] std::optional<Binding> lookup_uri(const sip::Uri& uri,
                                                   SimTime now) const;
 
-  [[nodiscard]] std::size_t size() const {
-    std::shared_lock lock(mutex_);
-    return table_.size();
-  }
-  [[nodiscard]] std::uint64_t query_count() const {
-    return queries_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t size() const { return table_.size(); }
+  [[nodiscard]] std::uint64_t query_count() const { return queries_; }
 
  private:
   struct Entry {
-    std::string aor;
+    sip::SharedText aor;
     Binding binding;
   };
 
@@ -71,13 +66,9 @@ class LocationService {
                                                      std::string_view host,
                                                      SimTime now) const;
 
-  /// One service is shared by every proxy of a bed. A bed runs on one
-  /// thread, so within a run the lock is uncontended; it keeps the
-  /// container safe for callers that share a service across threads.
-  mutable std::shared_mutex mutex_;
   common::Slab<Entry> slab_;
   common::FlatTable<common::SlabHandle> table_;
-  mutable std::atomic<std::uint64_t> queries_{0};
+  mutable std::uint64_t queries_ = 0;
 };
 
 }  // namespace svk::proxy

@@ -42,6 +42,8 @@ ProxyServer::ProxyServer(sim::Simulator& sim, SipNetwork& network,
       host_text_(config_.host),
       retry_after_text_(std::to_string(
           static_cast<int>(config_.overload.retry_after_s + 0.5))),
+      trying_cold_(sip::Message::share_cold(sip::ColdHeaders{
+          {}, {}, {}, {{stateful_at_header(), host_text_}}})),
       cpu_(sim, config_.cpu_capacity),
       txns_(sim, config_.timers),
       auth_(config_.auth_realm.empty() ? config_.host : config_.auth_realm,
@@ -352,7 +354,7 @@ void ProxyServer::plan_new_request(Address from, const sip::MessagePtr& msg) {
   if (stateful) {
     if (ctx.already_stateful) ++stats_.double_stateful;
     fwd.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
-    fwd.set_header(std::string(kStatefulMarkHeader), host_text_);
+    fwd.set_header(stateful_mark_header(), host_text_);
     if (dialog_mode) {
       if (msg->method() == sip::Method::kInvite) {
         dialogs_.create_early(fwd, sim_.now());
@@ -412,7 +414,11 @@ void ProxyServer::execute_stateful_forward(Address from, sip::MessagePtr msg,
 
   if (msg->method() == sip::Method::kInvite) {
     auto trying = sip::Message::response(*msg, sip::status::kTrying);
-    trying.set_header("X-Stateful-At", host_text_);
+    if (trying.cold_headers() == nullptr) {
+      trying.adopt_cold(trying_cold_);
+    } else {
+      trying.set_header(stateful_at_header(), host_text_);
+    }
     stamp_oc(trying);
     server_txn.respond(std::move(trying).finish());
     ++stats_.generated_100;
@@ -612,7 +618,7 @@ void ProxyServer::respond_overload_503(const sip::Message& req, Address to,
   // advertised rate, and stacking an on/off generator pause on top of rate
   // control re-creates the oscillation RFC 7339 exists to avoid.
   if (with_retry_after) {
-    response.set_header("Retry-After", retry_after_text_);
+    response.set_header(sip::retry_after_header(), retry_after_text_);
   }
   stamp_oc(response);
   auto ptr = std::move(response).finish();
@@ -754,7 +760,7 @@ void ProxyServer::handle_register(Address from, const sip::MessagePtr& msg) {
       return;
     }
     int expires_s = 3600;
-    if (const auto header = msg->header("Expires")) {
+    if (const auto header = msg->header(sip::expires_header())) {
       std::from_chars(header->data(), header->data() + header->size(),
                       expires_s);
     }
@@ -772,7 +778,7 @@ void ProxyServer::handle_register(Address from, const sip::MessagePtr& msg) {
     auto& txn = txns_.create_server(msg, sender_to(from),
                                     txn::ServerCallbacks{});
     sip::Message ok = sip::Message::response(*msg, sip::status::kOk);
-    ok.set_header("Expires", std::to_string(expires_s));
+    ok.set_header(sip::expires_header(), std::to_string(expires_s));
     stamp_oc(ok);
     txn.respond(std::move(ok).finish());
   });
@@ -812,7 +818,7 @@ sip::MessagePtr ProxyServer::make_overload_options(std::string_view header,
       config_.host + "-ovl-" + std::to_string(++overload_signal_seq_),
       sip::CSeq{1, sip::Method::kOptions});
   options.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
-  options.set_header(std::string(header), value);
+  options.set_header(header, value);
   return std::move(options).finish();
 }
 

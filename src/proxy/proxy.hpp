@@ -55,6 +55,20 @@ using SipNetwork = sim::Network<sip::MessagePtr>;
 /// state for it (the paper leaves the wire encoding unspecified).
 inline constexpr std::string_view kStatefulMarkHeader = "X-Stateful";
 
+/// Header naming the node that answered 100 Trying for a request it took
+/// state for.
+inline constexpr std::string_view kStatefulAtHeader = "X-Stateful-At";
+
+/// kStatefulMarkHeader and kStatefulAtHeader, interned once.
+inline const sip::Token& stateful_mark_header() {
+  static const sip::Token token(kStatefulMarkHeader);
+  return token;
+}
+inline const sip::Token& stateful_at_header() {
+  static const sip::Token token(kStatefulAtHeader);
+  return token;
+}
+
 /// Header carrying an overload control signal between neighbor proxies.
 /// Value: "on;rate=<cps>" or "off;rate=0".
 inline constexpr std::string_view kOverloadHeader = "X-Overload";
@@ -267,13 +281,15 @@ class ProxyServer {
   std::unique_ptr<StatePolicy> policy_;
   ProxyConfig config_;
   /// This proxy's host, interned once, the URI naming it (pushed as
-  /// Record-Route) and the header text it stamps (X-Stateful, X-Stateful-At
-  /// and the Retry-After of its 503s): the forward path copies these and
-  /// never builds text.
+  /// Record-Route) and the header text it stamps (X-Stateful and the
+  /// Retry-After of its 503s): the forward path copies these and never
+  /// builds text. Its 100 Trying adopts one prebuilt cold block holding
+  /// X-Stateful-At.
   sip::Token host_;
   sip::Uri own_uri_;
   sip::SharedText host_text_;
   sip::SharedText retry_after_text_;
+  sip::SharedColdHeaders trying_cold_;
 
   sim::CpuQueue cpu_;
   txn::TransactionManager txns_;

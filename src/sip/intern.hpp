@@ -14,12 +14,16 @@
 // outlive the thread that created them.
 //
 // Only bounded value sets belong here: Via protocol and sent-by, URI scheme
-// and host. Branch parameters, Call-IDs and bodies are per-transaction or
+// and host, reason phrases and extension-header names. They are bounded
+// because elements build them from their configuration; text parsed off the
+// wire is bounded only while its source is trusted (parser.hpp). Branch
+// parameters, Call-IDs, users, tags and bodies are per-transaction or
 // per-call unique — interning them would grow the table without bound — so
 // they are SharedText (shared_text.hpp) instead: built once, shared by
-// refcount. Elements on the hot path intern their own host once, at
-// construction, and copy the Token after that, so a forwarded message
-// costs no intern lookup at all.
+// refcount.
+// Elements on the hot path intern their own host once, at construction,
+// and copy the Token after that, so a forwarded message costs no intern
+// lookup at all.
 #pragma once
 
 #include <cstddef>
@@ -83,6 +87,24 @@ inline const Token& udp_protocol() {
 /// "sip", interned once: the default URI scheme.
 inline const Token& sip_scheme() {
   static const Token token("sip");
+  return token;
+}
+
+/// "sips", interned once.
+inline const Token& sips_scheme() {
+  static const Token token("sips");
+  return token;
+}
+
+/// Names of the extension headers elements stamp, each interned once like
+/// the protocol token: Message::set_header takes the Token, so stamping a
+/// header interns nothing. (The proxy's own names live in proxy.hpp.)
+inline const Token& retry_after_header() {
+  static const Token token("Retry-After");
+  return token;
+}
+inline const Token& expires_header() {
+  static const Token token("Expires");
   return token;
 }
 

@@ -1,5 +1,7 @@
 #include "sip/message.hpp"
 
+#include <array>
+#include <cassert>
 #include <cstdio>
 #include <utility>
 
@@ -12,7 +14,7 @@ void append_name_addr(std::string& out, std::string_view name,
   out += ": ";
   if (!value.display.empty()) {
     out += '"';
-    out += value.display;
+    out += value.display.view();
     out += "\" ";
   }
   out += '<';
@@ -20,9 +22,27 @@ void append_name_addr(std::string& out, std::string_view name,
   out += '>';
   if (!value.tag.empty()) {
     out += ";tag=";
-    out += value.tag;
+    out += value.tag.view();
   }
   out += "\r\n";
+}
+
+/// The default reason phrase of `status_code`, interned once per process
+/// (one table of Tokens), so building a response interns nothing.
+const Token& reason_token(int status_code) {
+  constexpr int kFirst = 100;
+  constexpr int kLast = 699;
+  static const std::array<Token, kLast - kFirst + 1> table = [] {
+    std::array<Token, kLast - kFirst + 1> tokens;
+    for (int code = kFirst; code <= kLast; ++code) {
+      tokens[static_cast<std::size_t>(code - kFirst)] =
+          Token(reason_phrase(code));
+    }
+    return tokens;
+  }();
+  static const Token unknown(reason_phrase(0));
+  if (status_code < kFirst || status_code > kLast) return unknown;
+  return table[static_cast<std::size_t>(status_code - kFirst)];
 }
 
 }  // namespace
@@ -45,8 +65,7 @@ Message Message::response(const Message& req, int status_code,
   Message msg;
   msg.is_request_ = false;
   msg.status_code_ = status_code;
-  msg.reason_ =
-      std::string(reason.empty() ? reason_phrase(status_code) : reason);
+  msg.reason_ = reason.empty() ? reason_token(status_code) : Token(reason);
   msg.vias_ = req.vias_;
   msg.from_ = req.from_;
   msg.to_ = req.to_;
@@ -63,6 +82,18 @@ Message Message::response(const Message& req, int status_code,
 const ColdHeaders& Message::no_cold_headers() {
   static const ColdHeaders none;
   return none;
+}
+
+SharedColdHeaders Message::share_cold(ColdHeaders cold) {
+  return std::allocate_shared<ColdHeaders>(
+      MessagePoolAllocator<ColdHeaders>{}, std::move(cold));
+}
+
+void Message::adopt_cold(const SharedColdHeaders& block) {
+  assert(cold_ == nullptr);
+  // Mutators detach any block another message shares, so the block stays
+  // const in fact.
+  cold_ = std::const_pointer_cast<ColdHeaders>(block);
 }
 
 ColdHeaders& Message::mutable_cold() {
@@ -105,7 +136,7 @@ std::optional<std::string_view> Message::header(
   return std::nullopt;
 }
 
-void Message::set_header(std::string name, SharedText value) {
+void Message::set_header(Token name, SharedText value) {
   HeaderList& extra = mutable_cold().extra;
   for (auto& [key, existing] : extra) {
     if (key == name) {
@@ -113,7 +144,7 @@ void Message::set_header(std::string name, SharedText value) {
       return;
     }
   }
-  extra.emplace_back(std::move(name), std::move(value));
+  extra.emplace_back(name, std::move(value));
 }
 
 void Message::remove_header(std::string_view name) {
@@ -165,7 +196,7 @@ std::string Message::to_wire() const {
     out += "SIP/2.0 ";
     out += std::to_string(status_code_);
     out += ' ';
-    out += reason_;
+    out += reason_.view();
     out += "\r\n";
   }
 
@@ -216,9 +247,9 @@ std::string Message::to_wire() const {
     out += "\r\n";
   }
   for (const auto& [key, value] : cold.extra) {
-    out += key;
+    out += key.view();
     out += ": ";
-    out += value;
+    out += value.view();
     out += "\r\n";
   }
   out += "Content-Length: ";

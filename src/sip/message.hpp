@@ -6,30 +6,36 @@
 // first — copy-on-forward, matching how a real proxy re-serializes.
 //
 // The layout is tuned for that copy, which must cost pointer copies and
-// refcount bumps only. Header text comes in three tiers:
+// refcount bumps only, and for the messages a server holds for a long time
+// (a 200 to a BYE kept for Timer J). No field is a std::string. Header text
+// comes in two tiers:
 //   - Token (intern.hpp): bounded vocabularies — Via protocol and sent-by,
-//     URI scheme and host. A copy is a pointer copy.
-//   - SharedText (shared_text.hpp): per-call or per-transaction unique text
-//     that never changes once built — Call-ID, Via branch, body — and
-//     extension-header values, which a proxy builds once and stamps on
-//     every message it marks. A copy is an atomic refcount increment.
-//   - std::string: short or rare text — tags, display names, URI users,
-//     reason phrases, extension-header names — that fits the small-string
-//     buffer on the run path or is not on it.
+//     URI host, reason phrases (a static table holds the default phrase of
+//     each status code) and extension-header names (the names elements
+//     stamp are interned once). A copy is a pointer copy.
+//   - SharedText (shared_text.hpp): per-call or per-transaction text that
+//     never changes once built — Call-ID, Via branch, body, URI user and
+//     parameters, display names, tags and extension-header values. A copy
+//     is an atomic refcount increment; the blocks come from a thread-local
+//     pool, so building one on a warm run touches no allocator.
+// So a Uri is 32 bytes and a NameAddr 48.
 //
 // The fields split into a hot part and a cold block. The hot part holds
 // what every message carries: the request and status lines, the Via stack,
 // From, To, Call-ID, CSeq, Max-Forwards and the body, plus one pointer
-// (616 bytes; 632 with the shared_ptr control block in a pooled block).
-// The cold block (ColdHeaders, 624 bytes) holds the headers most messages
-// never carry: Contact, Route, Record-Route and extension headers. The
-// pointer is null while all four are empty, so a 200 to a BYE — the
-// message a lingering server transaction keeps for Timer J — has none.
-// Copies share the cold block the way SharedText is shared; the first
-// mutation of a shared block detaches it (copies it, or creates it), and
-// only the mutators below do so: every read goes through a const accessor
-// and never detaches. Values never depend on where the bytes live, so the
-// split changes no behaviour and no digest.
+// (at most 352 bytes; 368 with the shared_ptr control block in a pooled
+// block, which takes a 384-byte malloc chunk). The cold block (ColdHeaders,
+// at most 288 bytes) holds the headers most messages never carry: Contact,
+// Route, Record-Route and extension headers. The pointer is null while all
+// four are empty, so a 200 to a BYE — the message a lingering server
+// transaction keeps for Timer J — has none. Copies share the cold block the
+// way SharedText is shared, and an element that stamps the same cold
+// headers on every message it sends (a UA's Contact, a proxy's
+// X-Stateful-At) builds one block and lets each message adopt it. The
+// first mutation of a shared block detaches it (copies it, or creates it),
+// and only the mutators below do so: every read goes through a const
+// accessor and never detaches. Values never depend on where the bytes
+// live, so the split changes no behaviour and no digest.
 //
 // Header lists live in small-inline vectors (no malloc for the common 1–4
 // entry counts), and the Via stack is stored bottom-first so
@@ -82,10 +88,11 @@ struct Via {
 };
 
 /// From/To/Contact value: optional display name, URI and optional tag.
+/// Each tag is built once per dialog side and shared from then on.
 struct NameAddr {
-  std::string display;
+  SharedText display;
   Uri uri;
-  std::string tag;
+  SharedText tag;
 
   friend bool operator==(const NameAddr&, const NameAddr&) = default;
 };
@@ -99,7 +106,7 @@ struct CSeq {
 };
 
 using RouteList = SmallVector<Uri, 2>;
-using HeaderList = SmallVector<std::pair<std::string, SharedText>, 2>;
+using HeaderList = SmallVector<std::pair<Token, SharedText>, 2>;
 
 /// The headers most messages never carry (see the file comment). Shared
 /// between copies of a message; a Message holds none while all are empty.
@@ -114,6 +121,9 @@ struct ColdHeaders {
            extra.empty();
   }
 };
+
+/// A cold block built once and adopted by many messages (see adopt_cold).
+using SharedColdHeaders = std::shared_ptr<const ColdHeaders>;
 
 class Message;
 using MessagePtr = std::shared_ptr<const Message>;
@@ -146,7 +156,7 @@ class Message {
 
   // -- Status line ---------------------------------------------------------
   [[nodiscard]] int status_code() const { return status_code_; }
-  [[nodiscard]] const std::string& reason() const { return reason_; }
+  [[nodiscard]] const Token& reason() const { return reason_; }
 
   // -- Core headers --------------------------------------------------------
   /// The Via stack, bottom-first (top Via last — see ViaList).
@@ -194,8 +204,13 @@ class Message {
   /// First value of an extension header, if present.
   [[nodiscard]] std::optional<std::string_view> header(
       std::string_view name) const;
-  /// Sets (replacing any existing value of) an extension header.
-  void set_header(std::string name, SharedText value);
+  /// Sets (replacing any existing value of) an extension header. The hot
+  /// paths pass a name Token interned once.
+  void set_header(Token name, SharedText value);
+  /// Interns `name` (a hash lookup).
+  void set_header(std::string_view name, SharedText value) {
+    set_header(Token(name), std::move(value));
+  }
   /// Removes every entry named `name`; detaches nothing when there is none.
   void remove_header(std::string_view name);
   [[nodiscard]] const HeaderList& extension_headers() const {
@@ -205,6 +220,13 @@ class Message {
   /// The shared cold-header block, or null when the message carries none
   /// of its headers (tests pin the sharing and the null case).
   [[nodiscard]] const ColdHeaders* cold_headers() const { return cold_.get(); }
+
+  /// Builds a cold block for many messages to adopt.
+  [[nodiscard]] static SharedColdHeaders share_cold(ColdHeaders cold);
+  /// Adopts a shared cold block instead of building one: the message
+  /// carries exactly its headers. Precondition: the message carries no
+  /// cold headers yet. A later mutation detaches as for any shared block.
+  void adopt_cold(const SharedColdHeaders& block);
 
   // -- Body ----------------------------------------------------------------
   [[nodiscard]] const SharedText& body() const { return body_; }
@@ -230,7 +252,7 @@ class Message {
   Method method_ = Method::kInvite;
   Uri request_uri_;
   int status_code_ = 0;
-  std::string reason_;
+  Token reason_;
 
   /// The cold headers, or an empty block when there are none.
   [[nodiscard]] const ColdHeaders& cold() const {

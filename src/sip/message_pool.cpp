@@ -7,9 +7,9 @@ namespace svk::sip {
 namespace {
 
 // allocate_shared<const Message> and allocate_shared<ColdHeaders> produce
-// one size class each per libstdc++ version; another class appears only if
-// anything else ever uses the allocator. Linear scan over this many bins is
-// cheaper than any map.
+// one size class each per libstdc++ version, and SharedText uses four;
+// another class appears only if anything else ever uses a pool. Linear scan
+// over this many bins is cheaper than any map.
 constexpr std::size_t kMaxBins = 8;
 // Per-bin freelist cap: bounds idle pool memory at kMaxParked blocks per
 // size class per thread while still absorbing the forward path's
@@ -23,7 +23,7 @@ struct Bin {
 
 struct Pool {
   Bin bins[kMaxBins];
-  MessagePoolStats stats;
+  BlockPoolStats stats;
 
   ~Pool() {
     for (Bin& bin : bins) {
@@ -41,44 +41,64 @@ struct Pool {
     }
     return nullptr;  // unusual size mix; fall through to the heap
   }
+
+  void* allocate(std::size_t bytes) {
+    stats.bytes_outstanding += static_cast<std::int64_t>(bytes);
+    Bin* bin = find(bytes);
+    if (bin != nullptr && !bin->free.empty()) {
+      void* p = bin->free.back();
+      bin->free.pop_back();
+      ++stats.reuses;
+      return p;
+    }
+    ++stats.fresh_allocs;
+    return ::operator new(bytes);
+  }
+
+  void deallocate(void* p, std::size_t bytes) noexcept {
+    stats.bytes_outstanding -= static_cast<std::int64_t>(bytes);
+    Bin* bin = find(bytes);
+    if (bin != nullptr && bin->free.size() < kMaxParked) {
+      bin->free.push_back(p);
+      ++stats.returns;
+      return;
+    }
+    ++stats.releases;
+    ::operator delete(p);
+  }
 };
 
-Pool& local_pool() {
+Pool& message_pool() {
+  thread_local Pool pool;
+  return pool;
+}
+
+Pool& text_pool() {
   thread_local Pool pool;
   return pool;
 }
 
 }  // namespace
 
-const MessagePoolStats& message_pool_stats() { return local_pool().stats; }
+const MessagePoolStats& message_pool_stats() { return message_pool().stats; }
+const TextPoolStats& text_pool_stats() { return text_pool().stats; }
 
 namespace detail {
 
 void* pool_allocate(std::size_t bytes) {
-  Pool& pool = local_pool();
-  pool.stats.bytes_outstanding += static_cast<std::int64_t>(bytes);
-  Bin* bin = pool.find(bytes);
-  if (bin != nullptr && !bin->free.empty()) {
-    void* p = bin->free.back();
-    bin->free.pop_back();
-    ++pool.stats.reuses;
-    return p;
-  }
-  ++pool.stats.fresh_allocs;
-  return ::operator new(bytes);
+  return message_pool().allocate(bytes);
 }
 
 void pool_deallocate(void* p, std::size_t bytes) noexcept {
-  Pool& pool = local_pool();
-  pool.stats.bytes_outstanding -= static_cast<std::int64_t>(bytes);
-  Bin* bin = pool.find(bytes);
-  if (bin != nullptr && bin->free.size() < kMaxParked) {
-    bin->free.push_back(p);
-    ++pool.stats.returns;
-    return;
-  }
-  ++pool.stats.releases;
-  ::operator delete(p);
+  message_pool().deallocate(p, bytes);
+}
+
+void* text_pool_allocate(std::size_t bytes) {
+  return text_pool().allocate(bytes);
+}
+
+void text_pool_deallocate(void* p, std::size_t bytes) noexcept {
+  text_pool().deallocate(p, bytes);
 }
 
 }  // namespace detail

@@ -7,7 +7,9 @@
 // allocation) through a thread-local freelist binned by size class: after
 // warmup, finish() and the final MessagePtr release touch no allocator.
 // A message's shared cold-header block (message.hpp) comes from the same
-// pool in its own size class.
+// pool in its own size class. SharedText blocks (shared_text.hpp) come from
+// a second thread-local instance of the same pool, with counters of its
+// own, so message_pool_stats() counts message blocks only.
 //
 // Thread notes: the freelist is thread-local and never shared, so no locks.
 // A block freed on a different thread than it was allocated on simply joins
@@ -21,9 +23,9 @@
 
 namespace svk::sip {
 
-/// Per-thread allocation counters; the zero-allocation steady-state test
-/// pins `fresh_allocs` flat while `reuses` grows.
-struct MessagePoolStats {
+/// Per-thread allocation counters of one pool; the zero-allocation
+/// steady-state test pins `fresh_allocs` flat while `reuses` grows.
+struct BlockPoolStats {
   std::uint64_t fresh_allocs = 0;  // blocks taken from operator new
   std::uint64_t reuses = 0;        // blocks served from the freelist
   std::uint64_t returns = 0;       // blocks parked back on the freelist
@@ -33,12 +35,19 @@ struct MessagePoolStats {
   std::int64_t bytes_outstanding = 0;
 };
 
-/// This thread's pool counters.
+using MessagePoolStats = BlockPoolStats;
+using TextPoolStats = BlockPoolStats;
+
+/// This thread's message-pool counters.
 const MessagePoolStats& message_pool_stats();
+/// This thread's text-pool counters (SharedText blocks).
+const TextPoolStats& text_pool_stats();
 
 namespace detail {
 void* pool_allocate(std::size_t bytes);
 void pool_deallocate(void* p, std::size_t bytes) noexcept;
+void* text_pool_allocate(std::size_t bytes);
+void text_pool_deallocate(void* p, std::size_t bytes) noexcept;
 }  // namespace detail
 
 /// Minimal std allocator over the thread-local message pool. Stateless;

@@ -142,7 +142,7 @@ Result<NameAddr> parse_name_addr(std::string_view text) {
     if (close == std::string_view::npos) {
       return make_error("name-addr: unterminated display name");
     }
-    result.display = std::string(text.substr(1, close - 1));
+    result.display = SharedText(text.substr(1, close - 1));
     text = trim(text.substr(close + 1));
   }
 
@@ -179,7 +179,7 @@ Result<NameAddr> parse_name_addr(std::string_view text) {
     }
     item = trim(item);
     if (item.starts_with("tag=")) {
-      result.tag = std::string(item.substr(4));
+      result.tag = SharedText(item.substr(4));
       break;
     }
     after = after.substr(semi + 1);
@@ -203,8 +203,8 @@ Result<Message> Parser::parse(std::string_view wire) {
       return make_error("parse: bad status code");
     }
     msg.reason_ = space == std::string_view::npos
-                      ? std::string()
-                      : std::string(trim(status_part.substr(space + 1)));
+                      ? Token()
+                      : Token(trim(status_part.substr(space + 1)));
   } else {
     msg.is_request_ = true;
     const auto sp1 = start_line.find(' ');
@@ -317,8 +317,7 @@ Result<Message> Parser::parse(std::string_view wire) {
       }
       content_length = static_cast<std::size_t>(length);
     } else {
-      msg.mutable_cold().extra.emplace_back(std::string(name),
-                                           SharedText(value));
+      msg.mutable_cold().extra.emplace_back(Token(name), SharedText(value));
     }
   }
 

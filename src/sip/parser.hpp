@@ -8,6 +8,11 @@
 
 namespace svk::sip {
 
+/// Trusted input only: the parser interns (intern.hpp) every URI host,
+/// reason phrase and extension-header name it reads, and the intern table
+/// never shrinks. Only tests call it today, on Message::to_wire output; a
+/// front end for datagrams from outside would first have to keep such text
+/// out of the table.
 class Parser {
  public:
   /// Parses a complete datagram into a Message. Returns an Error for

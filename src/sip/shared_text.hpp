@@ -1,25 +1,36 @@
 // Immutable, reference-counted header text.
 //
-// The per-call strings of a SIP message — Call-ID, Via branch, the body —
-// are unique per call or per transaction, so they cannot be interned (the
-// table would grow without bound), and at realistic lengths (a 26-char
-// Call-ID, a 26-char branch, a 50-byte SDP body) they do not fit
-// std::string's inline buffer, so a std::string copy is a malloc. Yet the
-// text never changes after it is built: every hop copies the same Call-ID
-// and body, and every response repeats the request's branches.
+// The per-call strings of a SIP message — Call-ID, Via branch, URI user,
+// tags, the body — are unique per call or per transaction, so they cannot
+// be interned (the table would grow without bound), and at realistic
+// lengths (a 26-char Call-ID, a 26-char branch, a 50-byte SDP body) they do
+// not fit std::string's inline buffer, so a std::string copy is a malloc.
+// Yet the text never changes after it is built: every hop copies the same
+// Call-ID and body, and every response repeats the request's branches.
 //
-// SharedText builds the text once, in one heap block, and a copy shares
-// that block: copying is a refcount increment, destroying the last copy
-// frees it. This is SER's rule (keep header storage, share it, do not
-// re-allocate it per hop) applied to a shared-pointer message model.
+// SharedText builds the text once, in one block, and a copy shares that
+// block: copying is a refcount increment, destroying the last copy frees
+// it. This is SER's rule (keep header storage, share it, do not re-allocate
+// it per hop) applied to a shared-pointer message model. The handle is one
+// pointer (8 bytes), against 32 for a std::string.
+//
+// Blocks come from a thread-local pool (message_pool.hpp: the message
+// pool's freelists, a second instance with its own counters,
+// text_pool_stats) in four size classes (24, 40, 56 and 72 bytes: an 8-byte
+// header, the text and a NUL), each ending where a malloc chunk ends, so a
+// pooled block takes no larger chunk than an exact-size allocation would.
+// A destroyed block parks on the destroying thread's freelist, so once a
+// run is warm, building a branch or a Call-ID touches no allocator. Longer
+// text goes to operator new, uncounted.
 //
 // The refcount is atomic so that copies of one text may be made and dropped
-// on different threads (the 4-thread stress test in shared_text_test pins
-// this). A simulation run itself is single-threaded, so within a run the
-// atomics are uncontended. Increments are relaxed (a new reference is made
-// from an existing one, which already orders the text); the final
-// decrement is acq_rel so the freeing thread sees every other thread's last
-// use of the block.
+// on different threads (shared_text_test's stress tests pin this, and a
+// block dropped on another thread joins that thread's pool). A simulation
+// run itself is single-threaded, so within a run the atomics are
+// uncontended. Increments are relaxed (a new reference is made from an
+// existing one, which already orders the text); the final decrement is
+// acq_rel so the freeing thread sees every other thread's last use of the
+// block.
 #pragma once
 
 #include <atomic>
@@ -31,6 +42,8 @@
 #include <string_view>
 #include <utility>
 
+#include "sip/message_pool.hpp"
+
 namespace svk::sip {
 
 class SharedText {
@@ -38,7 +51,7 @@ class SharedText {
   /// The empty text (no allocation).
   SharedText() noexcept = default;
 
-  /// Copies `text` into a fresh shared block (one allocation unless empty).
+  /// Copies `text` into a fresh shared block (a pooled block unless empty).
   /// Implicit so that literals and strings can be passed where a message
   /// field is expected; the hot paths build their text once and copy the
   /// SharedText instead.
@@ -71,6 +84,11 @@ class SharedText {
   }
 
   ~SharedText() { release(); }
+
+  /// `prefix` followed by the decimal digits of `n` ("uac42"), built in
+  /// one block without a temporary string.
+  [[nodiscard]] static SharedText numbered(std::string_view prefix,
+                                           std::uint64_t n);
 
   [[nodiscard]] std::string_view view() const noexcept {
     return rep_ == nullptr ? std::string_view()
@@ -120,7 +138,10 @@ class SharedText {
     }
   };
 
-  static Rep* make(std::string_view text);
+  explicit SharedText(Rep* rep) noexcept : rep_(rep) {}
+
+  /// A block holding `head` then `tail`; null when both are empty.
+  static Rep* make(std::string_view head, std::string_view tail = {});
   static void destroy(Rep* rep) noexcept;
 
   void retain() const noexcept {

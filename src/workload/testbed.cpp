@@ -69,10 +69,16 @@ Uac& TestBed::add_uac(UacConfig config) {
 void TestBed::register_users(const std::string& domain, int count,
                              const std::vector<std::string>& uas_hosts) {
   assert(!uas_hosts.empty());
+  // One contact per host, its host interned once, shared by every binding.
+  std::vector<sip::Uri> contacts;
+  for (const std::string& host : uas_hosts) contacts.emplace_back("", host);
+  std::string aor;
   for (int i = 0; i < count; ++i) {
-    const std::string aor = "user" + std::to_string(i) + "@" + domain;
-    const std::string& uas_host = uas_hosts[i % uas_hosts.size()];
-    location_->register_binding(aor, sip::Uri("", uas_host));
+    aor = "user";
+    aor += std::to_string(i);
+    aor += '@';
+    aor += domain;
+    location_->register_binding(aor, contacts[i % contacts.size()]);
   }
 }
 

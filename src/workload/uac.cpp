@@ -19,7 +19,10 @@ Uac::Uac(sim::Simulator& sim, proxy::SipNetwork& network, Rng rng,
       host_(config_.host),
       target_domain_(config_.target_domain),
       caller_uri_("caller", host_),
+      invite_cold_(sip::Message::share_cold(
+          sip::ColdHeaders{sip::NameAddr{{}, caller_uri_, {}}, {}, {}, {}})),
       sdp_body_("v=0 o=sim c=IN IP4 0.0.0.0 m=audio 49170 RTP/AVP 0"),
+      call_id_prefix_(std::string(config_.host).append("-")),
       txns_(sim, config_.timers),
       branches_(config_.address.value() | (1ULL << 32)) {
   network_.attach(config_.address,
@@ -71,7 +74,7 @@ void Uac::schedule_next_call() {
 }
 
 void Uac::apply_retry_after(const sip::Message& response) {
-  const auto header = response.header("Retry-After");
+  const auto header = response.header(sip::retry_after_header());
   if (!header) return;  // no directive: only the failed call is lost
   int delta_s = 0;
   std::from_chars(header->data(), header->data() + header->size(), delta_s);
@@ -104,7 +107,7 @@ txn::SendFn Uac::counting_sender(sip::Method method) {
 void Uac::maybe_attach_credentials(sip::Message& request) const {
   if (!config_.attach_credentials) return;
   request.set_header(
-      std::string(proxy::kProxyAuthorizationHeader),
+      proxy::proxy_authorization_header(),
       proxy::DigestAuthenticator::make_authorization(
           config_.auth_user, config_.auth_realm, config_.auth_password,
           config_.auth_nonce,
@@ -116,28 +119,25 @@ void Uac::place_call() {
   ++metrics_.calls_attempted;
   const std::uint64_t n = ++call_counter_;
 
-  const std::string callee =
-      "user" + std::to_string(n % static_cast<std::uint64_t>(
-                                      std::max(1, config_.num_callees)));
-  // The Call-ID is built once, here; every copy of every message of the
-  // call (and the call table key) shares this one block.
-  char digits[24];
-  call_id_scratch_.assign(config_.host);
-  call_id_scratch_ += '-';
-  call_id_scratch_.append(
-      digits, std::to_chars(digits, digits + sizeof(digits), n).ptr);
-  const sip::SharedText call_id(call_id_scratch_);
-  const std::string from_tag = "uac" + std::to_string(n);
+  // The Call-ID, the callee user and the From tag are built once, here;
+  // every copy of every message of the call (and the call table key)
+  // shares these blocks.
+  const sip::SharedText call_id =
+      sip::SharedText::numbered(call_id_prefix_, n);
+  const sip::SharedText callee = sip::SharedText::numbered(
+      "user",
+      n % static_cast<std::uint64_t>(std::max(1, config_.num_callees)));
+  const sip::SharedText from_tag = sip::SharedText::numbered("uac", n);
 
-  sip::Uri request_uri(callee, target_domain_);
+  const sip::Uri request_uri(callee, target_domain_);
   sip::Message invite = sip::Message::request(
       sip::Method::kInvite, request_uri,
-      sip::NameAddr{"", caller_uri_, from_tag},
-      sip::NameAddr{"", request_uri, ""}, call_id,
+      sip::NameAddr{{}, caller_uri_, from_tag},
+      sip::NameAddr{{}, request_uri, {}}, call_id,
       sip::CSeq{1, sip::Method::kInvite});
   invite.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
   invite.set_max_forwards(config_.max_forwards);
-  invite.set_contact(sip::NameAddr{"", caller_uri_, ""});
+  invite.adopt_cold(invite_cold_);
   invite.set_body(sdp_body_);
   maybe_attach_credentials(invite);
   auto invite_ptr = std::move(invite).finish();
@@ -244,7 +244,7 @@ void Uac::on_invite_response(const sip::SharedText& call_id,
 void Uac::send_ack(Call& call, const sip::Message& ok) {
   sip::Message ack = sip::Message::request(
       sip::Method::kAck, call.remote_target,
-      sip::NameAddr{"", caller_uri_, call.from_tag}, ok.to(), call.call_id,
+      sip::NameAddr{{}, caller_uri_, call.from_tag}, ok.to(), call.call_id,
       sip::CSeq{1, sip::Method::kAck});
   ack.push_via(sip::Via{sip::udp_protocol(), host_, branches_.next()});
   ack.set_routes(call.route_set);
@@ -260,8 +260,8 @@ void Uac::send_bye(const sip::SharedText& call_id) {
 
   sip::Message bye = sip::Message::request(
       sip::Method::kBye, call.remote_target,
-      sip::NameAddr{"", caller_uri_, call.from_tag},
-      sip::NameAddr{"", sip::Uri(call.invite->request_uri().user(),
+      sip::NameAddr{{}, caller_uri_, call.from_tag},
+      sip::NameAddr{{}, sip::Uri(call.invite->request_uri().user(),
                                  target_domain_),
                     call.to_tag},
       call.call_id, sip::CSeq{2, sip::Method::kBye});

@@ -80,13 +80,13 @@ class Uac {
  private:
   struct Call {
     sip::SharedText call_id;
-    std::string from_tag;
+    sip::SharedText from_tag;
     SimTime invite_sent;
     sip::MessagePtr invite;
     sip::MessagePtr ack;             // replayed on retransmitted 200s
     sip::RouteList route_set;  // reversed Record-Route from the 200
     sip::Uri remote_target;          // 200's Contact
-    std::string to_tag;
+    sip::SharedText to_tag;
     bool established = false;
     bool cancelled = false;
   };
@@ -115,8 +115,9 @@ class Uac {
   sip::Token host_;
   sip::Token target_domain_;
   sip::Uri caller_uri_;  // From and Contact
+  sip::SharedColdHeaders invite_cold_;  // every INVITE's Contact
   sip::SharedText sdp_body_;
-  std::string call_id_scratch_;  // reused buffer for building Call-IDs
+  std::string call_id_prefix_;  // "<host>-", then the call number
   txn::TransactionManager txns_;
   sip::BranchGenerator branches_;
   UacMetrics metrics_;

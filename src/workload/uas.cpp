@@ -9,7 +9,9 @@ Uas::Uas(sim::Simulator& sim, proxy::SipNetwork& network, UasConfig config)
     : sim_(sim),
       network_(network),
       config_(std::move(config)),
-      contact_{"", sip::Uri("", config_.host), ""},
+      contact_{{}, sip::Uri({}, config_.host), {}},
+      ok_cold_(sip::Message::share_cold(
+          sip::ColdHeaders{contact_, {}, {}, {}})),
       txns_(sim, config_.timers) {
   network_.attach(config_.address,
                   [this](Address from, const sip::MessagePtr& msg) {
@@ -77,7 +79,8 @@ void Uas::handle_invite(Address from, const sip::MessagePtr& msg) {
       },
       txn::ServerCallbacks{}, &server_handle);
 
-  const std::string tag = "uas" + std::to_string(++tag_counter_);
+  const sip::SharedText tag =
+      sip::SharedText::numbered("uas", ++tag_counter_);
 
   sip::Message ringing = sip::Message::response(*msg, sip::status::kRinging);
   ringing.to().tag = tag;
@@ -107,7 +110,11 @@ void Uas::answer(const sip::SharedText& call_id) {
 
   sip::Message ok = sip::Message::response(*ringing.invite, sip::status::kOk);
   ok.to().tag = ringing.tag;
-  ok.set_contact(contact_);
+  if (ok.cold_headers() == nullptr) {
+    ok.adopt_cold(ok_cold_);
+  } else {
+    ok.set_contact(contact_);
+  }
   auto ok_ptr = std::move(ok).finish();
   if (auto* server_txn = txns_.find_server(ringing.server_txn)) {
     server_txn->respond(ok_ptr);
@@ -201,7 +208,7 @@ void Uas::send_register(Address registrar, const std::string& aor,
       std::string(sip::kMagicCookie) + "-reg-" + config_.host + "-" +
           std::to_string(register_counter_)});
   reg.set_contact(contact_);
-  reg.set_header("Expires",
+  reg.set_header(sip::expires_header(),
                  std::to_string(static_cast<long>(expires.to_seconds())));
 
   txn::ClientCallbacks callbacks;

@@ -74,8 +74,10 @@ class Uas {
   sim::Simulator& sim_;
   proxy::SipNetwork& network_;
   UasConfig config_;
-  /// Contact header, built once (its host interned once) at construction.
+  /// Contact header, built once (its host interned once) at construction,
+  /// and the cold block every 200 without a mirrored Record-Route adopts.
   sip::NameAddr contact_;
+  sip::SharedColdHeaders ok_cold_;
   txn::TransactionManager txns_;
   UasMetrics metrics_;
   std::uint64_t tag_counter_{0};
@@ -98,7 +100,7 @@ class Uas {
     /// Handle of the INVITE server transaction: O(1) generation-checked
     /// resolution at answer/cancel time, no owning key strings.
     txn::TxnHandle server_txn;
-    std::string tag;
+    sip::SharedText tag;  // built once; the 180, 200 or 487 shares it
     Address peer;
     sim::EventId timer = 0;
   };

@@ -7,10 +7,11 @@
 // transaction that keeps only what its state uses (DESIGN.md §11) pins at
 // most the response it replays, so the average stays under one block
 // (0.87); one that also kept its request would pin a second (1.8). A
-// block is the message's hot part (632 bytes with its control block); a
+// block is the message's hot part (368 bytes with its control block); a
 // 200 to a BYE carries no cold-header block, so the bytes stay near
-// 0.87 x 632 (about 550; 1120 when every message held its cold headers
-// inline). The gate runs a 1/50-scale Figure 5 SERvartuka chain (the
+// 0.87 x 368 (about 320; 550 when users, tags and reason phrases were
+// std::string members, 1120 when every message also held its cold
+// headers inline). The gate runs a 1/50-scale Figure 5 SERvartuka chain (the
 // perfbench fig5_servartuka mix) past Timer J, counts the blocks and
 // bytes still outstanding and divides by the transactions live at every
 // element. The counts are deterministic: a single-threaded run from a
@@ -71,7 +72,7 @@ TEST(FootprintTest, LiveTransactionsPinFewMessageBlocks) {
       static_cast<double>(live);
   RecordProperty("bytes_per_live_txn", std::to_string(bytes_per_txn));
   // ...and that response holds no cold headers.
-  EXPECT_LE(bytes_per_txn, 700.0) << live << " live transactions";
+  EXPECT_LE(bytes_per_txn, 450.0) << live << " live transactions";
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Allocation contract of the SIP message fast path (DESIGN.md §8): once
 // warm, copying a message for forwarding, building a response from a
-// request, and copying a URI touch no heap; nor does draining and
-// refilling a common::Slab that has peaked. Field shapes are the run's:
-// hosts of 18-23 chars, a 28-char Call-ID, the UAC's 19-char and the
-// proxies' 26-char stateless branches, and the UAC's SDP body — all too long for std::string's inline buffer, so a string
-// member anywhere on these paths would show up as an allocation.
+// request, copying a URI and a stateless forward that builds a fresh
+// branch (from the thread-local text pool) touch no heap; nor does
+// draining and refilling a common::Slab that has peaked, whose chunks
+// spend exactly sizeof(T) per slot plus an 8-byte side entry. Field
+// shapes are the run's: hosts of 18-23 chars, a 28-char Call-ID, the
+// UAC's 19-char and the proxies' 26-char stateless branches, and the
+// UAC's SDP body — all too long for std::string's inline buffer, so a
+// string member anywhere on these paths would show up as an allocation.
 //
 // This binary replaces the global operator new with a counting one; the
 // counter is thread-local and each contract is measured between two reads
@@ -27,9 +30,11 @@
 namespace {
 
 thread_local std::uint64_t t_heap_allocs = 0;
+thread_local std::size_t t_largest_alloc = 0;  // bytes of the largest one
 
 void* counted_alloc(std::size_t size) {
   ++t_heap_allocs;
+  if (size > t_largest_alloc) t_largest_alloc = size;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -107,6 +112,30 @@ TEST(MessageAllocTest, WarmForwardCopyMakesNoHeapAllocation) {
   EXPECT_EQ(window.front()->cold_headers(), invite->cold_headers());
 }
 
+TEST(MessageAllocTest, WarmStatelessForwardMakesNoHeapAllocation) {
+  // A stateless proxy's forward builds a fresh branch per message (RFC
+  // 3261 16.11) — new text every time, which the thread-local text pool
+  // serves once warm — and pushes it on a copy sharing everything else.
+  const MessagePtr invite = make_uac_invite();
+  const Token proxy_host("proxy1.example.net");
+  std::vector<MessagePtr> window(kWindow);
+  const auto forward_one = [&](int i) {
+    Message fwd = clone(*invite);
+    fwd.push_via(Via{udp_protocol(), proxy_host,
+                     stateless_branch(invite->top_via().branch, proxy_host)});
+    fwd.decrement_max_forwards();
+    window[static_cast<std::size_t>(i) % kWindow] = std::move(fwd).finish();
+  };
+  for (int i = 0; i < kWarmup; ++i) forward_one(i);
+  const std::uint64_t before = t_heap_allocs;
+  for (int i = 0; i < kMeasured; ++i) forward_one(i);
+  const std::uint64_t allocs = t_heap_allocs - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(window.front()->vias().size(), 3u);
+  EXPECT_GT(window.front()->top_via().branch.size(), std::string().capacity());
+  EXPECT_GT(text_pool_stats().reuses, static_cast<std::uint64_t>(kMeasured));
+}
+
 TEST(MessageAllocTest, WarmStatefulInviteForwardMakesNoHeapAllocation) {
   // A dialog-stateful proxy's forward: the copy detaches the shared cold
   // block (the UAC's Contact) to add the stateful mark and Record-Route.
@@ -177,6 +206,30 @@ TEST(MessageAllocTest, UriCopyMakesNoHeapAllocation) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(copied, source);
   EXPECT_EQ(copies.back().host(), "uas0.callee.example.net");
+}
+
+TEST(SlabAllocTest, ChunkSlotsTakeExactlyTheirObjectBytes) {
+  // A slot is sizeof(T); generation and occupancy live in a side array of
+  // 8 bytes per slot. Measured on a location entry's size (48) and on the
+  // event node's 16-aligned 128 bytes, which per-slot metadata would pad
+  // to 144.
+  struct Entry48 {
+    unsigned char bytes[48];
+  };
+  struct alignas(16) Node128 {
+    unsigned char bytes[128];
+  };
+  constexpr std::size_t kSlots = common::Slab<Entry48>::kChunkSlots;
+  common::Slab<Entry48> entries;
+  t_largest_alloc = 0;
+  (void)entries.emplace();
+  const std::size_t entry_chunk = t_largest_alloc;
+  common::Slab<Node128> nodes;
+  t_largest_alloc = 0;
+  (void)nodes.emplace();
+  const std::size_t node_chunk = t_largest_alloc;
+  EXPECT_EQ(entry_chunk, kSlots * (48 + 8));
+  EXPECT_EQ(node_chunk, kSlots * (128 + 8));
 }
 
 TEST(SlabAllocTest, DrainAndRefillAfterThreeChunkPeakMakesNoHeapAllocation) {

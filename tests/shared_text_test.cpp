@@ -236,5 +236,61 @@ TEST(SharedTextTest, ConcurrentCopyAndDestroyOfSharedMessages) {
   EXPECT_EQ(mark.use_count(), 1u);
 }
 
+// Pooled text made on one thread and dropped on another joins the
+// dropping thread's pool, which serves that thread's next texts. The two
+// threads drop their copies of the same blocks at once, so whichever drops
+// last frees the block: between them, every block is freed exactly once.
+TEST(SharedTextTest, PooledTextDroppedOnAnotherThreadJoinsItsPool) {
+  constexpr int kTexts = 64;
+  const auto numbered = [](int i) {
+    return SharedText::numbered("uac0.caller.example.net-", 1000 + i);
+  };
+  std::vector<SharedText> mine;
+  for (int i = 0; i < kTexts; ++i) mine.push_back(numbered(i));
+  std::vector<SharedText> theirs = mine;  // a second reference to each
+
+  const auto freed = [] {
+    return text_pool_stats().returns + text_pool_stats().releases;
+  };
+  std::atomic<bool> go{false};
+  std::uint64_t their_frees = 0;
+  std::uint64_t their_returns = 0;
+  std::uint64_t their_reuses = 0;
+  std::uint64_t their_fresh = 0;
+  bool intact = true;
+  std::thread worker([&] {
+    const TextPoolStats before = text_pool_stats();
+    while (!go.load(std::memory_order_acquire)) {
+    }
+    theirs.clear();
+    their_frees = freed() - (before.returns + before.releases);
+    const std::uint64_t parked =
+        text_pool_stats().returns - before.returns;
+    // Same size class: the blocks this thread parked serve it first.
+    std::vector<SharedText> fresh;
+    for (int i = 0; i < static_cast<int>(parked); ++i) {
+      fresh.push_back(numbered(kTexts + i));
+    }
+    their_returns = parked;
+    their_reuses = text_pool_stats().reuses - before.reuses;
+    their_fresh = text_pool_stats().fresh_allocs - before.fresh_allocs;
+    for (int i = 0; i < static_cast<int>(parked); ++i) {
+      intact = intact && fresh[static_cast<std::size_t>(i)] ==
+                             "uac0.caller.example.net-" +
+                                 std::to_string(1000 + kTexts + i);
+    }
+  });
+  const std::uint64_t freed_before = freed();
+  go.store(true, std::memory_order_release);
+  mine.clear();
+  const std::uint64_t my_frees = freed() - freed_before;
+  worker.join();
+
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(my_frees + their_frees, static_cast<std::uint64_t>(kTexts));
+  EXPECT_EQ(their_reuses, their_returns);
+  EXPECT_EQ(their_fresh, 0u);
+}
+
 }  // namespace
 }  // namespace svk::sip

@@ -293,10 +293,17 @@ Message make_cold_invite() {
 }
 
 TEST(ColdHeadersTest, MessageIsHalfSize) {
-  // The hot part plus one pointer: 616 bytes with libstdc++ on x86-64,
-  // against 1272 with the cold headers inline.
-  EXPECT_LE(sizeof(Message), 624u);
-  EXPECT_GE(sizeof(ColdHeaders), 600u);  // what the split moved out
+  // The hot part plus one pointer: 352 bytes with libstdc++ on x86-64. A
+  // std::string field anywhere in either struct (32 bytes) fails a bound.
+  EXPECT_LE(sizeof(Message), 352u);
+  EXPECT_LE(sizeof(ColdHeaders), 288u);
+}
+
+TEST(ColdHeadersTest, UriAndNameAddrAreNarrow) {
+  // Four words per URI (user, host, params, scheme and port), and a
+  // NameAddr adds two (display, tag): no std::string or std::vector.
+  EXPECT_LE(sizeof(Uri), 32u);
+  EXPECT_LE(sizeof(NameAddr), 48u);
 }
 
 TEST(ColdHeadersTest, CloneSharesTheColdBlock) {
@@ -473,6 +480,50 @@ TEST(WireTest, ResponseRoundTrip) {
   EXPECT_EQ(parsed.value().reason(), "OK");
   EXPECT_EQ(parsed.value().to().tag, "uas-tag");
   EXPECT_EQ(parsed.value().from().tag, "tag-hal");
+}
+
+TEST(WireTest, RoundTripKeepsDisplayTagsParamsAndReason) {
+  Message req = Message::request(
+      Method::kInvite,
+      Uri::parse("sip:burdell@cc.gatech.edu;user=phone").value(),
+      NameAddr{"Hal 9000", Uri::parse("sip:hal@us.ibm.com;x=1").value(),
+               "tag-hal"},
+      NameAddr{"George P. Burdell", Uri("burdell", "cc.gatech.edu"), ""},
+      "call-params", CSeq{1, Method::kInvite});
+  req.push_via(Via{"SIP/2.0/UDP", "uac.us.ibm.com", "z9hG4bK-params"});
+  Message resp = Message::response(req, 486, "Busy Right Now");
+  resp.to().tag = "tag-burdell";
+  resp.set_contact(NameAddr{
+      "Desk",
+      Uri::parse("sip:desk@cc.gatech.edu:5070;transport=udp;lr").value(),
+      ""});
+  for (const Message* msg : {&req, &resp}) {
+    const std::string wire = msg->to_wire();
+    const auto parsed = Parser::parse(wire);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    const Message& round = parsed.value();
+    EXPECT_EQ(round.to_wire(), wire);
+    EXPECT_EQ(round.from().display, msg->from().display);
+    EXPECT_EQ(round.from().tag, msg->from().tag);
+    EXPECT_EQ(round.to().display, msg->to().display);
+    EXPECT_EQ(round.to().tag, msg->to().tag);
+    EXPECT_EQ(round.from().uri.param("x"), "1");
+  }
+  const Message round_req = Parser::parse(req.to_wire()).value();
+  EXPECT_EQ(round_req.request_uri().param("user"), "phone");
+  EXPECT_EQ(round_req.from().display, "Hal 9000");
+  EXPECT_EQ(round_req.to().display, "George P. Burdell");
+
+  const Message round_resp = Parser::parse(resp.to_wire()).value();
+  EXPECT_EQ(round_resp.status_code(), 486);
+  EXPECT_EQ(round_resp.reason(), "Busy Right Now");
+  EXPECT_EQ(round_resp.to().tag, "tag-burdell");
+  ASSERT_TRUE(round_resp.contact().has_value());
+  EXPECT_EQ(round_resp.contact()->display, "Desk");
+  EXPECT_EQ(round_resp.contact()->uri.port(), 5070);
+  EXPECT_EQ(round_resp.contact()->uri.param("transport"), "udp");
+  EXPECT_TRUE(round_resp.contact()->uri.has_param("lr"));
+  EXPECT_EQ(round_resp.contact()->uri.params().size(), 2u);
 }
 
 class WireMethodRoundTrip : public ::testing::TestWithParam<Method> {};

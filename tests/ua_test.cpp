@@ -102,6 +102,34 @@ TEST_F(UaFixture, AnswersInviteWith180Then200) {
   EXPECT_EQ(tag_180, tag_200);
 }
 
+TEST_F(UaFixture, Two200sShareOneContactBlockUntilOneIsMutated) {
+  // The UAS builds its Contact block once; every 200 without a mirrored
+  // Record-Route adopts it instead of building its own.
+  peer->send(uas->config().address, make_invite("c1"));
+  peer->send(uas->config().address, make_invite("c2"));
+  bed->sim().run_until(SimTime::millis(50));
+  std::vector<MessagePtr> oks;
+  for (const auto& m : peer->inbox()) {
+    if (m->is_response() && m->status_code() == 200) oks.push_back(m);
+  }
+  ASSERT_EQ(oks.size(), 2u);
+  ASSERT_NE(oks[0]->cold_headers(), nullptr);
+  EXPECT_EQ(oks[0]->cold_headers(), oks[1]->cold_headers());
+  ASSERT_TRUE(oks[0]->contact().has_value());
+  EXPECT_EQ(oks[0]->contact()->uri, uas->contact_uri());
+  EXPECT_NE(oks[0]->call_id(), oks[1]->call_id());
+
+  // Mutating a copy of one detaches it; the other keeps the shared block.
+  Message changed = sip::clone(*oks[0]);
+  changed.set_contact(NameAddr{{}, Uri("moved", "elsewhere.test"), {}});
+  changed.set_header("X-Test", "1");
+  EXPECT_NE(changed.cold_headers(), oks[1]->cold_headers());
+  EXPECT_EQ(changed.contact()->uri.user(), "moved");
+  EXPECT_EQ(oks[0]->cold_headers(), oks[1]->cold_headers());
+  EXPECT_EQ(oks[1]->contact()->uri, uas->contact_uri());
+  EXPECT_FALSE(oks[1]->header("X-Test").has_value());
+}
+
 TEST_F(UaFixture, Retransmits200UntilAcked) {
   peer->send(uas->config().address, make_invite());
   // No ACK for 2.2 seconds: 200 retransmits at 0.5, 1.5 (doubling)...
